@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import csv
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractError
-from .graphio import Dataset, Graph
+from .graphio import Dataset, Graph, split
 from .prune import build_indicator
 
 HARMONIC_EPS = 1e-9
@@ -174,17 +174,18 @@ def threshold_sweep(dataset: Dataset, config, multipliers=DEFAULT_MULTIPLIERS,
     """
     from . import train as train_mod
 
+    # building every config first rejects a bad multiplier before any training
+    configs = [replace(config, threshold_c=float(c)) for c in multipliers]
     points = []
     if retrain:
-        for c in multipliers:
-            cfg = train_mod.replace_config(config, threshold_c=float(c))
+        for cfg in configs:
             report = train_mod.run_trials(cfg, dataset)
-            points.append(SweepPoint(float(c), report.mean_accuracy,
+            points.append(SweepPoint(cfg.threshold_c, report.mean_accuracy,
                                      report.mean_pruned_fraction))
         return points
 
     seed = config.seeds[0]
-    sp = train_mod.split_for_seed(dataset, seed)
+    sp = split(dataset, seed)
     model, _ = train_mod.train_one(config, dataset, sp, seed)
     for c in multipliers:
         correct, pruned_fracs = 0, []

@@ -124,9 +124,6 @@ def _load_run_model(run_dir: str, dataset):
 
 def cmd_train(args) -> int:
     config = _resolve_config(args)
-    if config.backend not in BACKEND_KINDS:
-        raise ConfigError(
-            f"unknown backend '{config.backend}'; valid kinds: {', '.join(BACKEND_KINDS)}")
     dataset = _load_dataset(args.dataset, args.name)
     _prepare_out(args.out, args.force)
     report, models = run_trials(config, dataset, return_models=True, jobs=args.jobs)

@@ -14,10 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError
-from .graphio import Graph
 from .rng import substream
-
-SPARSE_NODE_THRESHOLD = 64  # above this, message passing walks the edge list
 
 
 @dataclass
@@ -91,47 +88,23 @@ class ViewEncoder:
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """D^{-1/2} (A + I) D^{-1/2} with degrees taken from A + I.
 
-    Constant with respect to training; computed once per graph.
+    Constant with respect to training, so it enters the tape as a constant.
     """
     a_hat = adjacency + np.eye(adjacency.shape[0])
     inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
 
 
-def normalized_edges(adjacency: np.ndarray):
-    """Edge-list form of normalize_adjacency (rows, cols, weights), self-loops included."""
-    a_hat = adjacency + np.eye(adjacency.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    ri, ci = np.nonzero(a_hat)
-    return ri, ci, inv_sqrt[ri] * a_hat[ri, ci] * inv_sqrt[ci]
-
-
 def gcn_layer(h: T.Tensor, weight: T.Tensor, adjacency: np.ndarray,
-              activation=T.relu, sparse: bool | None = None) -> T.Tensor:
+              activation=T.relu) -> T.Tensor:
     """One graph convolution: act(norm(A) @ h @ weight)."""
-    n = adjacency.shape[0]
-    if sparse is None:
-        sparse = n > SPARSE_NODE_THRESHOLD
-    hw = T.matmul(h, weight)
-    if sparse:
-        prop = T.spmm_sym(normalized_edges(adjacency), n, hw)
-    else:
-        prop = T.matmul(T.Tensor(normalize_adjacency(adjacency)), hw)
+    prop = T.matmul(T.Tensor(normalize_adjacency(adjacency)), T.matmul(h, weight))
     return activation(prop) if activation is not None else prop
 
 
-def encode_views(graph: Graph | np.ndarray, partition: ViewPartition, encoder: ViewEncoder,
-                 sparse: bool | None = None) -> T.Tensor:
-    """Latent matrix Z: column-concatenation of the per-view GCN outputs."""
-    x = graph.features if isinstance(graph, Graph) else np.asarray(graph, dtype=np.float64)
-    adjacency = graph.adjacency if isinstance(graph, Graph) else None
-    if adjacency is None:
-        raise ContractError("encode_views needs a Graph (adjacency is required)")
-    return encode_views_xa(x, adjacency, partition, encoder, sparse=sparse)
-
-
 def encode_views_xa(x: np.ndarray, adjacency: np.ndarray, partition: ViewPartition,
-                    encoder: ViewEncoder, sparse: bool | None = None) -> T.Tensor:
+                    encoder: ViewEncoder) -> T.Tensor:
+    """Latent matrix Z: column-concatenation of the per-view GCN outputs."""
     if len(partition.columns_per_view) != len(encoder.embed_weights):
         raise ContractError("partition and encoder view counts differ")
     x_t = T.Tensor(x)
@@ -142,5 +115,5 @@ def encode_views_xa(x: np.ndarray, adjacency: np.ndarray, partition: ViewPartiti
             raise ContractError(
                 f"view expects {w_embed.rows} columns, partition provides {len(cols)}")
         embedded = T.matmul(T.slice_cols(x_t, cols), w_embed)  # linear, no activation
-        parts.append(gcn_layer(embedded, w_gcn, adjacency, sparse=sparse))
+        parts.append(gcn_layer(embedded, w_gcn, adjacency))
     return T.concat_cols(parts)

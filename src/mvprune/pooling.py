@@ -1,7 +1,8 @@
 """Pooling backends consuming the pruned graph, plus the classifier head.
 
-Every backend maps (X', A', indicator) to a fixed-width graph vector and an
-auxiliary scalar loss (None for plain readouts, meaning exactly zero).
+Every backend maps (X', A', indicator) to a fixed-width graph vector, an
+auxiliary scalar loss (None for plain readouts, meaning exactly zero) and the
+keep-mask its readout used.
 """
 
 from __future__ import annotations
@@ -128,22 +129,26 @@ class PoolBackend:
         return list(self.params.values())
 
     def forward(self, x_prime: T.Tensor, a_prime: np.ndarray, indicator: np.ndarray):
-        """Returns (h_G, l_pool); l_pool is None for readout kinds."""
+        """Returns (h_G, l_pool, selection); l_pool is None for readout kinds.
+
+        `selection` is the keep-mask that reaches the readout: the top-k
+        kinds' own selection within `indicator`, else `indicator` itself.
+        """
         if self.kind == "mean":
-            return masked_mean_readout(x_prime, indicator), None
+            return masked_mean_readout(x_prime, indicator), None, indicator
         if self.kind == "sum":
-            return masked_sum_readout(x_prime, indicator), None
+            return masked_sum_readout(x_prime, indicator), None, indicator
         if self.kind == "gcn-sum":
             h = gcn_layer(x_prime, self.params["w"], a_prime)
-            return masked_sum_readout(h, indicator), None
+            return masked_sum_readout(h, indicator), None, indicator
         if self.kind == "attention-topk":
-            x_kept, a_kept, _, sel = attention_topk_pool(
+            x_kept, _, _, sel = attention_topk_pool(
                 x_prime, a_prime, self.keep_ratio, self.params["score_w"], indicator)
-            return masked_mean_readout(x_kept, sel), None
+            return masked_mean_readout(x_kept, sel), None, sel
         if self.kind == "feature-topk":
             x_kept, _, sel = feature_topk_pool(
                 x_prime, self.keep_ratio, self.params["proj"], indicator)
-            return masked_mean_readout(x_kept, sel), None
+            return masked_mean_readout(x_kept, sel), None, sel
         if self.kind == "mincut":
             h = gcn_layer(x_prime, self.params["gcn_w"], a_prime)
             x_coarse, _, l_pool = mincut_pool(h, a_prime, self.params["assign_w"],
@@ -152,21 +157,8 @@ class PoolBackend:
             h_g = T.matmul(T.Tensor(np.full((1, k), 1.0 / k)), x_coarse)
             if self.aux_loss_weight != 1.0:
                 l_pool = T.scale(l_pool, self.aux_loss_weight)
-            return h_g, l_pool
+            return h_g, l_pool, indicator
         raise ConfigError(f"unknown backend kind '{self.kind}'; valid: {BACKEND_KINDS}")
-
-    def pruned_selection(self, x_prime: T.Tensor, a_prime: np.ndarray,
-                         indicator: np.ndarray) -> np.ndarray | None:
-        """Keep-mask of the backend's own pruning step, None for non-pruning kinds."""
-        if self.kind == "attention-topk":
-            _, _, _, sel = attention_topk_pool(
-                x_prime, a_prime, self.keep_ratio, self.params["score_w"], indicator)
-            return sel
-        if self.kind == "feature-topk":
-            _, _, sel = feature_topk_pool(x_prime, self.keep_ratio,
-                                          self.params["proj"], indicator)
-            return sel
-        return None
 
 
 def make_backend(kind: str, in_width: int, rng: np.random.Generator, hidden: int = 32,

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
-from .graphio import Graph
+from .errors import ConfigError, ContractError
 
 LOG_EPS = 1e-7  # clamp for sigmoid outputs before taking logs
 
@@ -29,16 +28,6 @@ class ReconHead:
     def init(cls, latent_width: int, d: int, rng: np.random.Generator) -> "ReconHead":
         return cls(T.param(None, rng, (latent_width, d)),
                    T.param(np.zeros((1, d))))
-
-
-@dataclass
-class PruneResult:
-    scores: np.ndarray
-    indicator: np.ndarray       # 1 = keep, 0 = drop
-    masked_features: np.ndarray
-    masked_adjacency: np.ndarray
-    mu: float
-    sigma: float
 
 
 def reconstruct(z: T.Tensor, head: ReconHead):
@@ -82,6 +71,8 @@ def build_indicator(scores: np.ndarray, c: float = 2.0):
 
     Equivalent to thresholding sigmoid(-s + mu + c*sigma) at 0.5.
     """
+    if not (math.isfinite(c) and c > 0):
+        raise ConfigError(f"threshold multiplier c must be finite and > 0, got {c}")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size < 1:
         raise ContractError("build_indicator needs at least one score")
@@ -90,36 +81,24 @@ def build_indicator(scores: np.ndarray, c: float = 2.0):
     indicator = (scores <= mu + c * sigma).astype(np.float64)
     dropped = int(scores.size - indicator.sum())
     # Chebyshev: no more than n/c^2 nodes can sit above mu + c*sigma
-    assert dropped <= math.floor(scores.size / (c * c)), \
-        f"dropped {dropped} of {scores.size} nodes, violating the Chebyshev bound"
+    if dropped > math.floor(scores.size / (c * c)):
+        raise ContractError(
+            f"dropped {dropped} of {scores.size} nodes, violating the Chebyshev bound")
     return indicator, mu, sigma
 
 
-def apply_mask(graph: Graph, indicator: np.ndarray):
+def apply_mask(features: np.ndarray, adjacency: np.ndarray, indicator: np.ndarray):
     """Zero out rows (features) and rows+columns (adjacency) of dropped nodes.
 
     Shapes are unchanged; downstream readouts must exclude masked nodes
     explicitly.
     """
     ind = np.asarray(indicator, dtype=np.float64)
-    if ind.shape != (graph.n,):
-        raise ContractError(f"indicator length {ind.shape} != node count {graph.n}")
-    x_prime = graph.features * ind[:, None]
-    a_prime = graph.adjacency * ind[:, None] * ind[None, :]
+    if ind.shape != (adjacency.shape[0],):
+        raise ContractError(f"indicator length {ind.shape} != node count {adjacency.shape[0]}")
+    x_prime = features * ind[:, None]
+    a_prime = adjacency * ind[:, None] * ind[None, :]
     return x_prime, a_prime
-
-
-def prune_graph(graph: Graph, a_hat: np.ndarray, x_hat: np.ndarray,
-                lam: float = 0.5, c: float = 2.0,
-                features: np.ndarray | None = None) -> PruneResult:
-    """Score, threshold, and mask in one step. `features` overrides the raw
-    feature matrix when scoring/masking should see normalized inputs."""
-    feats = graph.features if features is None else features
-    scores = node_scores(graph.adjacency, feats, a_hat, x_hat, lam)
-    indicator, mu, sigma = build_indicator(scores, c)
-    x_prime = feats * indicator[:, None]
-    a_prime = graph.adjacency * indicator[:, None] * indicator[None, :]
-    return PruneResult(scores, indicator, x_prime, a_prime, mu, sigma)
 
 
 def export_scores(rows, path: str):

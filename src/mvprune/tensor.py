@@ -51,23 +51,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar ----------------------------------------------------
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    @property
-    def T(self):
-        return transpose(self)
-
 
 def param(values, rng: np.random.Generator | None = None, shape=None) -> Tensor:
     """A trainable leaf. With `rng` and `shape`, Glorot-uniform initialized."""
@@ -128,13 +111,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape and not (a_scalar or b_scalar):
         raise ShapeError(f"mul: {a.shape} * {b.shape}")
     out_vals = a.values * b.values
+    # bw must not reference `out`, or every tape becomes a reference cycle
+    out_scalar = out_vals.shape == (1, 1)
     out = Tensor(out_vals, _parents=(a, b))
 
     def bw(g):
         ga = g * b.values
         gb = g * a.values
-        _accum(a, ga.sum().reshape(1, 1) if a_scalar and out.shape != (1, 1) else ga)
-        _accum(b, gb.sum().reshape(1, 1) if b_scalar and out.shape != (1, 1) else gb)
+        _accum(a, ga.sum().reshape(1, 1) if a_scalar and not out_scalar else ga)
+        _accum(b, gb.sum().reshape(1, 1) if b_scalar and not out_scalar else gb)
 
     out._backward = bw
     return out
@@ -243,20 +228,6 @@ def tsum(a: Tensor) -> Tensor:
     return out
 
 
-def slice_rows(a: Tensor, idx) -> Tensor:
-    idx = list(idx)
-    out = Tensor(a.values[idx, :], _parents=(a,))
-
-    def bw(g):
-        if _wants_grad(a):
-            full = np.zeros(a.shape)
-            np.add.at(full, (idx, slice(None)), g)
-            _accum(a, full)
-
-    out._backward = bw
-    return out
-
-
 def slice_cols(a: Tensor, idx) -> Tensor:
     idx = list(idx)
     out = Tensor(a.values[:, idx], _parents=(a,))
@@ -303,24 +274,6 @@ def softmax_rows(a: Tensor) -> Tensor:
     return out
 
 
-def spmm_sym(edges: tuple[np.ndarray, np.ndarray, np.ndarray], n: int, m: Tensor) -> Tensor:
-    """Sparse product S @ m for a symmetric constant S given as (rows, cols, weights).
-
-    The edge list must contain every nonzero entry of S (both directions);
-    symmetry lets the backward pass reuse the same edge machinery.
-    """
-    ri, ci, w = edges
-
-    def prop(x):
-        out = np.zeros((n, x.shape[1]))
-        np.add.at(out, ri, w[:, None] * x[ci])
-        return out
-
-    out = Tensor(prop(m.values), _parents=(m,))
-    out._backward = lambda g: _accum(m, prop(g))  # S == S^T
-    return out
-
-
 # -- helpers built from primitives ----------------------------------------
 
 def cross_entropy(logits: Tensor, label: int) -> Tensor:
@@ -331,7 +284,7 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     z = add_const(logits, -shift)
     lse = log(tsum(exp(z)))
     picked = slice_cols(z, [label])
-    return lse - picked
+    return add(lse, scale(picked, -1.0))
 
 
 def backward(loss: Tensor):
@@ -361,8 +314,3 @@ def _toposort(root: Tensor) -> list[Tensor]:
             if id(p) not in visited:
                 stack.append((p, False))
     return order
-
-
-def assert_finite(t: Tensor, what: str = "tensor"):
-    if not np.isfinite(t.values).all():
-        raise ContractError(f"{what} contains non-finite values")

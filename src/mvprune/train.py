@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, MvpruneError, TrainingDiverged
 from .graphio import Dataset, FeatureScaler, Graph, SplitSpec, split
 from .multiview import (ViewEncoder, ViewPartition, default_overlap_ratio,
                         encode_views_xa, make_partition)
-from .pooling import ClassifierHead, PoolBackend, classify, make_backend
-from .prune import ReconHead, build_indicator, node_scores, recon_losses, reconstruct
+from .pooling import BACKEND_KINDS, ClassifierHead, PoolBackend, classify, make_backend
+from .prune import (ReconHead, apply_mask, build_indicator, node_scores, recon_losses,
+                    reconstruct)
 from .rng import substream
 
 
@@ -59,6 +60,19 @@ class TrainConfig:
             raise ConfigError("at least one seed is required")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
+        if not (math.isfinite(self.threshold_c) and self.threshold_c > 0):
+            raise ConfigError(f"threshold_c must be finite and > 0, got {self.threshold_c}")
+        if self.views < 1 or self.latent_width < 1:
+            raise ConfigError(f"views and latent_width must be at least 1, "
+                              f"got {self.views} and {self.latent_width}")
+        if self.epochs < 0 or self.pretrain_epochs < 0:
+            raise ConfigError(f"epochs and pretrain_epochs must be >= 0, "
+                              f"got {self.epochs} and {self.pretrain_epochs}")
+        if not 0.0 < self.keep_ratio <= 1.0:
+            raise ConfigError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
+        if self.backend not in BACKEND_KINDS:
+            raise ConfigError(f"unknown backend '{self.backend}'; "
+                              f"valid kinds: {', '.join(BACKEND_KINDS)}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -75,10 +89,6 @@ class TrainConfig:
         if "seeds" in d:
             d["seeds"] = tuple(int(s) for s in d["seeds"])
         return cls(**d)
-
-
-def replace_config(config: TrainConfig, **changes) -> TrainConfig:
-    return dataclasses.replace(config, **changes)
 
 
 class Adam:
@@ -199,13 +209,11 @@ def forward_graph(model: MvpModel, graph: Graph, use_mvp: bool | None = None,
         scores = node_scores(graph.adjacency, x_std, a_hat.values, x_hat.values, cfg.lam)
         indicator, _, _ = build_indicator(scores, c)
         # straight-through: the indicator enters the task path only as a constant
-        x_in = T.Tensor(x_std * indicator[:, None])
-        a_in = graph.adjacency * indicator[:, None] * indicator[None, :]
+        x_in, a_in = apply_mask(x_std, graph.adjacency, indicator)
     else:
         indicator = np.ones(graph.n)
-        x_in = T.Tensor(x_std)
-        a_in = graph.adjacency
-    h_g, l_pool = model.backend.forward(x_in, a_in, indicator)
+        x_in, a_in = x_std, graph.adjacency
+    h_g, l_pool, _ = model.backend.forward(T.Tensor(x_in), a_in, indicator)
     logits = classify(h_g, model.classifier)
     return ForwardResult(logits, la, lx, l_pool, scores, indicator)
 
@@ -301,10 +309,6 @@ def train_one(config: TrainConfig, dataset: Dataset, sp: SplitSpec, seed: int):
     return model, trace
 
 
-def split_for_seed(dataset: Dataset, seed: int) -> SplitSpec:
-    return split(dataset, seed)
-
-
 def pruning_stats(model: MvpModel, dataset: Dataset, indices) -> dict:
     """Fraction of nodes pruned and the degree histogram of pruned nodes."""
     total = pruned = 0
@@ -360,15 +364,17 @@ class TrialReport:
 
 
 def _trial(config: TrainConfig, dataset: Dataset, seed: int) -> dict:
-    sp = split(dataset, seed)
     try:
+        sp = split(dataset, seed)
         model, trace = train_one(config, dataset, sp, seed)
-    except TrainingDiverged as exc:
-        return {"seed": seed, "ok": False, "error": str(exc)}
-    stats = (pruning_stats(model, dataset, sp.test) if config.use_mvp
-             else {"fraction_pruned": 0.0, "pruned_degree_histogram": {}})
-    return {"seed": seed, "ok": True,
-            "accuracy": evaluate(model, dataset, sp.test),
+        stats = (pruning_stats(model, dataset, sp.test) if config.use_mvp
+                 else {"fraction_pruned": 0.0, "pruned_degree_histogram": {}})
+        accuracy = evaluate(model, dataset, sp.test)
+    except ConfigError:
+        raise  # a bad config fails every seed alike: stop the run (CLI exit 2)
+    except MvpruneError as exc:  # one bad seed must not discard the others
+        return {"seed": seed, "ok": False, "error": str(exc), "error_type": type(exc).__name__}
+    return {"seed": seed, "ok": True, "accuracy": accuracy,
             "trace": trace, "partition": model.partition.to_dict(),
             "prune_stats": stats, "state": model.state_dict()}
 
@@ -378,8 +384,9 @@ def run_trials(config: TrainConfig, dataset: Dataset,
     """One split + one training per seed; aggregates accuracy mean and std.
 
     Seeds run independently (in `jobs` processes when > 1) and are always
-    aggregated in seed order. Per-trial divergences are recorded and the
-    report carries partial results.
+    aggregated in seed order. A seed that fails with an MvpruneError other
+    than ConfigError is recorded in `failures` (seed, exception type,
+    message) and the report carries the other seeds' results.
     """
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -393,7 +400,7 @@ def run_trials(config: TrainConfig, dataset: Dataset,
     models = []
     for res in results:
         if not res["ok"]:
-            report.failures.append({"seed": res["seed"], "error": res["error"]})
+            report.failures.append({k: res[k] for k in ("seed", "error_type", "error")})
             continue
         report.seeds.append(res["seed"])
         report.accuracies.append(res["accuracy"])

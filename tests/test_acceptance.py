@@ -62,8 +62,8 @@ def keep_masks(model, dataset):
     """Per-graph keep indicators for either pruning method."""
     if model.config.use_mvp:
         return [tr.forward_graph(model, g).indicator for g in dataset.graphs]
-    return [model.backend.pruned_selection(
-        T.Tensor(model.scaler.transform(g.features)), g.adjacency, np.ones(g.n))
+    return [model.backend.forward(
+        T.Tensor(model.scaler.transform(g.features)), g.adjacency, np.ones(g.n))[2]
         for g in dataset.graphs]
 
 
@@ -169,7 +169,7 @@ def test_criterion_2_core_quantities_match_oracles():
         worst["indicator"] = max(worst["indicator"], np.abs(
             indicator - indicator_loop(scores, c)).max())
         g = Graph(adjacency=adj, features=feats, label=0)
-        xp, ap = prune.apply_mask(g, indicator)
+        xp, ap = prune.apply_mask(feats, adj, indicator)
         xp_o, ap_o = mask_loop(feats, adj, indicator)
         worst["mask"] = max(worst["mask"], np.abs(xp - xp_o).max(),
                             np.abs(ap - ap_o).max())

@@ -159,6 +159,13 @@ def test_sweep(tmp_path, data_dir):
     assert float(rows[1]["pruned_fraction"]) <= float(rows[0]["pruned_fraction"])
 
 
+def test_sweep_rejects_zero_multiplier(tmp_path, data_dir, capsys):
+    rc = cli.main(["sweep", "--dataset", data_dir, "--multipliers", "0,1",
+                   "--out", str(tmp_path / "sweep0")] + SMALL_FLAGS)
+    assert rc == 2
+    assert "threshold_c" in capsys.readouterr().err
+
+
 def test_export_scores(tmp_path, data_dir, run_dir):
     out = tmp_path / "scores.csv"
     rc = cli.main(["export-scores", "--dataset", data_dir, "--run", run_dir,

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from mvprune import multiview as mv, tensor as T
 from mvprune.errors import ConfigError
-from mvprune.graphio import Graph
 
-from oracles import random_graph
+from oracles import finite_diff, random_graph, rel_err
 
 
 # -- partitions ------------------------------------------------------------
@@ -103,27 +102,37 @@ def test_normalize_path_of_three():
     assert np.allclose(got, expected, atol=1e-15)
 
 
-def test_normalized_edges_match_dense():
-    rng = np.random.default_rng(0)
-    adj, _ = random_graph(rng, 9)
-    ri, ci, w = mv.normalized_edges(adj)
-    dense = np.zeros((9, 9))
-    dense[ri, ci] = w
-    assert np.allclose(dense, mv.normalize_adjacency(adj), atol=1e-15)
+@pytest.mark.parametrize("n", [150, 620])
+def test_gcn_layer_matches_numpy_oracle(n):
+    # sizes of PROTEINS-like graphs; the oracle builds D^-1/2 (A+I) D^-1/2 with
+    # explicit diagonal matrices, sharing nothing with normalize_adjacency
+    rng = np.random.default_rng(n)
+    adj = np.triu((rng.random((n, n)) < 4.0 / n).astype(float), 1)
+    adj = adj + adj.T
+    h = T.param(rng.normal(size=(n, 3)))
+    w = T.param(rng.normal(size=(3, 2)))
+    a_loop = adj + np.eye(n)
+    d_inv_sqrt = np.diag(1.0 / np.sqrt(a_loop.sum(axis=1)))
+    want = np.maximum(d_inv_sqrt @ a_loop @ d_inv_sqrt @ h.values @ w.values, 0.0)
+    got = mv.gcn_layer(h, w, adj)
+    assert np.abs(got.values - want).max() < 1e-10
+    if n == 150:
+        weights = rng.normal(size=(n, 2))  # non-uniform functional so the Jacobian matters
+        f = lambda: T.tsum(T.mul_const(mv.gcn_layer(h, w, adj), weights))
+        T.backward(f())
+        fd = finite_diff(lambda: f().item(), [h, w])
+        assert rel_err(h.grad, fd[0]) < 1e-6
+        assert rel_err(w.grad, fd[1]) < 1e-6
 
 
 # -- encoder ---------------------------------------------------------------
-
-def make_graph(adj, feats, label=0):
-    return Graph(adjacency=adj, features=feats, label=label)
-
 
 def test_encoder_shapes():
     rng = np.random.default_rng(1)
     p = mv.make_partition(8, 4, 0.0, seed=0)
     enc = mv.ViewEncoder.init(p, latent_width=12, rng=rng)
     adj, feats = random_graph(rng, 6, d=8)
-    z = mv.encode_views(make_graph(adj, feats), p, enc)
+    z = mv.encode_views_xa(feats, adj, p, enc)
     assert z.shape == (6, 12)  # ceil(12/4)=3 per view, 4 views
 
 
@@ -132,7 +141,7 @@ def test_encoder_zero_features_give_zero_latent():
     p = mv.make_partition(6, 3, 0.0, seed=0)
     enc = mv.ViewEncoder.init(p, latent_width=9, rng=rng)
     adj, _ = random_graph(rng, 5, d=6)
-    z = mv.encode_views(make_graph(adj, np.zeros((5, 6))), p, enc)
+    z = mv.encode_views_xa(np.zeros((5, 6)), adj, p, enc)
     assert np.array_equal(z.values, np.zeros((5, 9)))
 
 
@@ -142,23 +151,12 @@ def test_encoder_matches_manual_single_view():
     p = mv.make_partition(4, 1, 0.0, seed=0)
     enc = mv.ViewEncoder.init(p, latent_width=5, rng=rng)
     adj, feats = random_graph(rng, 6, d=4)
-    z = mv.encode_views(make_graph(adj, feats), p, enc)
+    z = mv.encode_views_xa(feats, adj, p, enc)
     cols = p.columns_per_view[0]
     manual = feats[:, cols] @ enc.embed_weights[0].values @ enc.gcn_weights[0].values
     manual = np.maximum(mv.normalize_adjacency(adj) @ manual, 0.0)
     # association order differs, so exact equality is not guaranteed
     assert np.allclose(z.values, manual, atol=1e-12)
-
-
-def test_sparse_and_dense_paths_agree():
-    rng = np.random.default_rng(4)
-    p = mv.make_partition(8, 4, 0.25, seed=1)
-    enc = mv.ViewEncoder.init(p, latent_width=16, rng=rng)
-    adj, feats = random_graph(rng, 12, d=8)
-    g = make_graph(adj, feats)
-    zd = mv.encode_views(g, p, enc, sparse=False)
-    zs = mv.encode_views(g, p, enc, sparse=True)
-    assert np.allclose(zd.values, zs.values, atol=1e-10)
 
 
 def test_encoder_permutation_equivariance():
@@ -167,9 +165,8 @@ def test_encoder_permutation_equivariance():
     enc = mv.ViewEncoder.init(p, latent_width=6, rng=rng)
     adj, feats = random_graph(rng, 8, d=6)
     perm = rng.permutation(8)
-    z = mv.encode_views(make_graph(adj, feats), p, enc).values
-    z_perm = mv.encode_views(
-        make_graph(adj[np.ix_(perm, perm)], feats[perm]), p, enc).values
+    z = mv.encode_views_xa(feats, adj, p, enc).values
+    z_perm = mv.encode_views_xa(feats[perm], adj[np.ix_(perm, perm)], p, enc).values
     assert np.allclose(z_perm, z[perm], atol=1e-10)
 
 
@@ -178,7 +175,7 @@ def test_encoder_gradients_flow_to_all_views():
     p = mv.make_partition(8, 4, 0.0, seed=3)
     enc = mv.ViewEncoder.init(p, latent_width=8, rng=rng)
     adj, feats = random_graph(rng, 6, d=8)
-    z = mv.encode_views(make_graph(adj, feats), p, enc)
+    z = mv.encode_views_xa(feats, adj, p, enc)
     T.backward(T.tsum(T.mul(z, z)))
     for w in enc.embed_weights + enc.gcn_weights:
         assert w.grad is not None

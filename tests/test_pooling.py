@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -157,12 +159,21 @@ def test_backend_forward_shapes(kind):
     adj, _ = random_graph(rng, 8)
     x = T.Tensor(rng.normal(size=(8, 6)))
     backend = pooling.make_backend(kind, 6, rng, hidden=5, clusters=3)
-    h_g, l_pool = backend.forward(x, adj, np.ones(8))
+    indicator = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0])
+    x_prime = T.mul_const(x, indicator[:, None])
+    a_prime = adj * indicator[:, None] * indicator[None, :]
+    h_g, l_pool, sel = backend.forward(x_prime, a_prime, indicator)
     assert h_g.shape == (1, backend.out_width)
     if kind in ("mean", "sum", "gcn-sum", "attention-topk", "feature-topk"):
         assert l_pool is None
     else:
         assert l_pool.shape == (1, 1)
+    if kind in ("attention-topk", "feature-topk"):
+        assert set(np.unique(sel)) <= {0.0, 1.0}
+        assert np.all(sel <= indicator)  # a subset of the kept nodes
+        assert sel.sum() == math.ceil(backend.keep_ratio * indicator.sum())
+    else:
+        assert np.array_equal(sel, indicator)
 
 
 def test_make_backend_unknown_kind():
@@ -176,8 +187,8 @@ def test_mean_backend_permutation_invariant():
     xv = rng.normal(size=(7, 4))
     backend = pooling.make_backend("mean", 4, rng)
     perm = rng.permutation(7)
-    a, _ = backend.forward(T.Tensor(xv), adj, np.ones(7))
-    b, _ = backend.forward(T.Tensor(xv[perm]), adj[np.ix_(perm, perm)], np.ones(7))
+    a, _, _ = backend.forward(T.Tensor(xv), adj, np.ones(7))
+    b, _, _ = backend.forward(T.Tensor(xv[perm]), adj[np.ix_(perm, perm)], np.ones(7))
     assert np.allclose(a.values, b.values, atol=1e-12)
 
 

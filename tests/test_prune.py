@@ -3,15 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvprune import prune, tensor as T
-from mvprune.errors import ContractError
-from mvprune.graphio import Graph
+from mvprune.errors import ConfigError, ContractError
 
 from oracles import (bce_loss_loop, feature_loss_loop, finite_diff, indicator_loop,
                      mask_loop, node_scores_loop, random_graph, rel_err)
-
-
-def make_graph(adj, feats, label=0):
-    return Graph(adjacency=adj, features=feats, label=label)
 
 
 def test_reconstruct_is_symmetric_gram_sigmoid():
@@ -91,6 +86,13 @@ def test_indicator_drops_clear_outlier():
     assert mu == pytest.approx(10.0)
 
 
+def test_indicator_rejects_nonpositive_multiplier():
+    # c = 0 used to divide by zero in the Chebyshev check
+    for c in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            prune.build_indicator(np.array([0.0, 1.0, 2.0, 10.0]), c)
+
+
 def test_indicator_keeps_boundary():
     scores = np.array([1.0, 1.0, 1.0])  # sigma = 0, all scores equal mu
     indicator, _, _ = prune.build_indicator(scores, c=2.0)
@@ -131,32 +133,15 @@ def test_indicator_chebyshev_bound(seed, n, c):
 def test_mask_matches_loop_oracle():
     rng = np.random.default_rng(6)
     adj, feats = random_graph(rng, 7, d=3)
-    g = make_graph(adj, feats)
     indicator = (rng.random(7) > 0.4).astype(float)
     if indicator.sum() == 0:
         indicator[0] = 1.0
-    xp, ap = prune.apply_mask(g, indicator)
+    xp, ap = prune.apply_mask(feats, adj, indicator)
     xp_o, ap_o = mask_loop(feats, adj, indicator)
     assert np.array_equal(xp, xp_o)
     assert np.array_equal(ap, ap_o)
     assert np.array_equal(ap, ap.T)
     assert xp.shape == feats.shape and ap.shape == adj.shape
-
-
-def test_prune_graph_end_to_end():
-    rng = np.random.default_rng(7)
-    adj, feats = random_graph(rng, 10, d=4)
-    g = make_graph(adj, feats)
-    a_hat = rng.uniform(size=(10, 10))
-    x_hat = rng.normal(size=(10, 4))
-    res = prune.prune_graph(g, a_hat, x_hat, lam=0.5, c=2.0)
-    want_scores = node_scores_loop(adj, feats, a_hat, x_hat, 0.5)
-    assert np.allclose(res.scores, want_scores, atol=1e-12)
-    dropped = np.nonzero(res.indicator == 0)[0]
-    for i in dropped:
-        assert np.all(res.masked_features[i] == 0)
-        assert np.all(res.masked_adjacency[i] == 0)
-        assert np.all(res.masked_adjacency[:, i] == 0)
 
 
 def test_mask_gradient_blocks_dropped_rows():

@@ -168,19 +168,3 @@ def test_forward_is_bitwise_deterministic():
         out = T.sigmoid(T.matmul(t, T.transpose(t)))
         runs.append(out.values.tobytes())
     assert runs[0] == runs[1]
-
-
-def test_spmm_matches_dense_and_backward():
-    rng = np.random.default_rng(9)
-    n = 7
-    adj = (rng.random((n, n)) < 0.4).astype(float)
-    sym = np.triu(adj, 1)
-    sym = sym + sym.T + np.eye(n)
-    ri, ci = np.nonzero(sym)
-    edges = (ri, ci, sym[ri, ci])
-    m = T.param(rng.normal(size=(n, 3)))
-    out = T.spmm_sym(edges, n, m)
-    assert np.allclose(out.values, sym @ m.values, atol=1e-12)
-    T.backward(T.tsum(out))
-    fd = finite_diff(lambda: T.tsum(T.spmm_sym(edges, n, m)).item(), [m])
-    assert rel_err(m.grad, fd[0]) < 1e-6

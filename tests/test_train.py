@@ -1,10 +1,11 @@
+import gc
 import json
 
 import numpy as np
 import pytest
 
 from mvprune import train as tr, tensor as T
-from mvprune.errors import ConfigError
+from mvprune.errors import ConfigError, ContractError
 from mvprune.graphio import split, synth_planted_anomalies
 
 from oracles import finite_diff, rel_err
@@ -37,6 +38,13 @@ def test_config_validation():
         tr.TrainConfig(seeds=())
     with pytest.raises(ConfigError):
         tr.TrainConfig(lam=2.0)
+    for bad in (dict(threshold_c=0.0), dict(threshold_c=-1.0), dict(threshold_c=float("nan")),
+                dict(views=0), dict(latent_width=0), dict(epochs=-1),
+                dict(pretrain_epochs=-1), dict(keep_ratio=0.0), dict(keep_ratio=1.5),
+                dict(backend="magic")):
+        with pytest.raises(ConfigError):
+            tr.TrainConfig(**bad)
+    tr.TrainConfig(keep_ratio=1.0, epochs=0, pretrain_epochs=0, views=1, latent_width=1)
 
 
 def test_adam_decreases_quadratic():
@@ -194,6 +202,43 @@ def test_run_trials_aggregates(corpus):
     assert report.mean_accuracy == pytest.approx(np.mean(report.accuracies))
     assert report.std_accuracy == pytest.approx(np.std(report.accuracies))
     assert len(report.partitions) == 2
+
+
+def test_run_trials_keeps_good_seeds_when_one_fails(corpus, monkeypatch):
+    real, error = tr.train_one, ContractError
+
+    def flaky(config, dataset, sp, seed):
+        if seed == 1:
+            raise error("mean readout needs at least one kept node")
+        return real(config, dataset, sp, seed)
+
+    monkeypatch.setattr(tr, "train_one", flaky)
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, seeds=(0, 1, 2)))
+    report = tr.run_trials(cfg, corpus)
+    assert report.seeds == [0, 2]
+    assert len(report.accuracies) == 2
+    assert report.failures == [{"seed": 1, "error_type": "ContractError",
+                                "error": "mean readout needs at least one kept node"}]
+    error = ConfigError  # a config error is not one seed's fault and stops the run
+    with pytest.raises(ConfigError):
+        tr.run_trials(cfg, corpus)
+
+
+@pytest.mark.parametrize("backend", ["mean", "mincut"])
+def test_training_steps_leave_no_reference_cycles(corpus, backend):
+    # tapes must be freed by reference counting alone, not by the cyclic GC
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3))
+    model = tr.build_model(cfg, corpus, split(corpus, 0), seed=0)
+    gc.collect()
+    gc.disable()
+    try:
+        for g in corpus.graphs[:10]:
+            loss, _ = tr.combined_loss(tr.forward_graph(model, g), g.label)
+            T.backward(loss)
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_run_trials_parallel_matches_serial(corpus):
