@@ -21,11 +21,11 @@ def betweenness(graph: Graph) -> np.ndarray:
     """Unnormalized betweenness via Brandes' accumulation, unordered-pair
     convention (the directed sum halved). Disconnected pairs contribute 0."""
     n = graph.n
-    adj = [np.nonzero(graph.adjacency[i])[0] for i in range(n)]
-    cb = np.zeros(n)
+    adj = [np.nonzero(row)[0].tolist() for row in graph.adjacency]
+    cb = [0.0] * n
     for s in range(n):
-        dist = np.full(n, -1)
-        sigma = np.zeros(n)
+        dist = [-1] * n
+        sigma = [0.0] * n
         preds: list[list[int]] = [[] for _ in range(n)]
         dist[s] = 0
         sigma[s] = 1.0
@@ -41,13 +41,13 @@ def betweenness(graph: Graph) -> np.ndarray:
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = np.zeros(n)
+        delta = [0.0] * n
         for w in reversed(order):
             for v in preds[w]:
                 delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
             if w != s:
                 cb[w] += delta[w]
-    return cb / 2.0
+    return np.array(cb) / 2.0
 
 
 def harmonic_mean(values) -> float:
@@ -167,10 +167,12 @@ class SweepPoint:
 
 def threshold_sweep(dataset: Dataset, config, multipliers=DEFAULT_MULTIPLIERS,
                     retrain: bool = False) -> list[SweepPoint]:
-    """Test accuracy and mean pruned fraction per threshold multiplier.
+    """Test accuracy and pruned fraction (pruned test nodes over test nodes)
+    per threshold multiplier.
 
     By default the model trained at the configured threshold is re-evaluated
-    at each multiplier; `retrain` runs a full training per point instead.
+    at each multiplier; `retrain` runs a full training per point instead and
+    reports the mean over seeds.
     """
     from . import train as train_mod
 
@@ -187,14 +189,10 @@ def threshold_sweep(dataset: Dataset, config, multipliers=DEFAULT_MULTIPLIERS,
     seed = config.seeds[0]
     sp = split(dataset, seed)
     model, _ = train_mod.train_one(config, dataset, sp, seed)
-    for c in multipliers:
-        correct, pruned_fracs = 0, []
-        for gi in sp.test:
-            res = train_mod.forward_graph(model, dataset.graphs[gi], threshold_c=float(c))
-            correct += int(np.argmax(res.logits.values) == dataset.graphs[gi].label)
-            pruned_fracs.append(1.0 - res.indicator.mean())
-        points.append(SweepPoint(float(c), correct / len(sp.test),
-                                 float(np.mean(pruned_fracs))))
+    for cfg in configs:
+        accuracy, indicators = train_mod.evaluate(model, dataset, sp.test, cfg.threshold_c)
+        stats = train_mod.pruning_stats(dataset, sp.test, indicators)
+        points.append(SweepPoint(cfg.threshold_c, accuracy, stats["fraction_pruned"]))
     return points
 
 

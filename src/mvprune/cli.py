@@ -76,8 +76,8 @@ def _write_manifest(out: str, config: TrainConfig, dataset, dataset_path: str,
         "dataset": {"path": os.path.abspath(dataset_path), "name": dataset.name,
                     "fingerprint": dataset.fingerprint()},
         "config": config.to_dict(),
-        "seeds": list(config.seeds),
-        "partitions": report.partitions if report is not None else [],
+        "seeds": report.seeds,  # the trained seeds; a failed seed has no weights
+        "partitions": report.partitions,
         "artifacts": sorted(f for f in os.listdir(out) if f != "manifest.json"),
     }
     with open(os.path.join(out, "manifest.json"), "w") as fh:
@@ -92,13 +92,18 @@ def _write_metrics(report, path: str):
             writer.writerow(row)
 
 
-def _score_rows(model, dataset):
-    for gi, graph in enumerate(dataset.graphs):
+def _scores_and_keeps(model, dataset):
+    """Per graph: reconstruction scores (zeros without MVP) and the keep indicator."""
+    for graph in dataset.graphs:
         res = forward_graph(model, graph)
-        scores = res.scores if res.scores is not None else np.zeros(graph.n)
-        deg = graph.degrees
-        for node in range(graph.n):
-            yield gi, node, deg[node], scores[node], res.indicator[node]
+        yield res.scores if res.scores is not None else np.zeros(graph.n), res.indicator
+
+
+def _score_rows(model, dataset):
+    for gi, (scores, keep) in enumerate(_scores_and_keeps(model, dataset)):
+        deg = dataset.graphs[gi].degrees
+        for node in range(len(keep)):
+            yield gi, node, deg[node], scores[node], keep[node]
 
 
 def _load_run_model(run_dir: str, dataset):
@@ -110,7 +115,9 @@ def _load_run_model(run_dir: str, dataset):
     if manifest["dataset"]["fingerprint"] != dataset.fingerprint():
         raise MvpruneError("dataset fingerprint does not match the run manifest")
     config = TrainConfig.from_dict(manifest["config"])
-    seed = manifest["seeds"][0]
+    if not manifest["seeds"]:
+        raise LoadError(f"run {run_dir} has no trained seed")
+    seed = manifest["seeds"][0]  # the seed whose model wrote the run's scores.csv
     model_path = os.path.join(run_dir, "models", f"seed{seed}.npz")
     if not os.path.isfile(model_path):
         raise LoadError(f"missing model weights: {model_path}")
@@ -158,11 +165,7 @@ def cmd_analyze(args) -> int:
     model, config = _load_run_model(args.run, dataset)
     out_dir = args.out or args.run
     os.makedirs(out_dir, exist_ok=True)
-    mvp_scores, keeps_mvp = [], []
-    for graph in dataset.graphs:
-        res = forward_graph(model, graph)
-        mvp_scores.append(res.scores if res.scores is not None else np.zeros(graph.n))
-        keeps_mvp.append(res.indicator)
+    mvp_scores, keeps_mvp = zip(*_scores_and_keeps(model, dataset))
     if args.what == "centrality":
         keeps = {"mvp": keeps_mvp}
         for policy in analysis.DEGREE_POLICIES:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,6 +111,9 @@ def load_tu(directory: str, name: str) -> Dataset:
             raise FormatError(f"graph_indicator line {i + 1}: graph id {gid} out of range")
         local[i] = counts[gid]
         counts[gid] += 1
+    for gid in range(1, n_graphs + 1):
+        if counts[gid] == 0:
+            raise FormatError(f"graph {gid} has no nodes in {name}_graph_indicator.txt")
 
     edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(n_graphs)]
     for lineno, ln in enumerate(edge_lines, start=1):
@@ -321,8 +324,8 @@ def split(dataset: Dataset, seed: int) -> SplitSpec:
 
 @dataclass
 class FeatureScaler:
-    mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    std: np.ndarray = field(default_factory=lambda: np.ones(0))
+    mean: np.ndarray
+    std: np.ndarray
 
     @classmethod
     def fit(cls, dataset: Dataset, train_idx) -> "FeatureScaler":
@@ -331,10 +334,6 @@ class FeatureScaler:
         std = stacked.std(axis=0)
         std[std < 1e-12] = 1.0
         return cls(mean, std)
-
-    @classmethod
-    def identity(cls, d: int) -> "FeatureScaler":
-        return cls(np.zeros(d), np.ones(d))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.std

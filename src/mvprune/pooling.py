@@ -59,24 +59,22 @@ def attention_topk_pool(x: T.Tensor, adjacency: np.ndarray, keep_ratio: float,
                         score_weight: T.Tensor, eligible: np.ndarray | None = None):
     """Self-attention pruning: a 1-output GCN scores nodes, the top fraction
     survives, and kept features are gated by tanh(score) so the score weight
-    receives gradient."""
+    receives gradient. Returns (gated kept features, selection)."""
     score = gcn_layer(x, score_weight, adjacency, activation=None)  # n x 1
     sel = select_topk(score.values[:, 0], keep_ratio, eligible)
     gate = T.matmul(T.tanh(score), T.Tensor(np.ones((1, x.cols))))
-    x_kept = T.mul_const(T.mul(x, gate), sel[:, None])
-    a_kept = adjacency * sel[:, None] * sel[None, :]
-    return x_kept, a_kept, score.values[:, 0].copy(), sel
+    return T.mul_const(T.mul(x, gate), sel[:, None]), sel
 
 
 def feature_topk_pool(x: T.Tensor, keep_ratio: float, projection: T.Tensor,
                       eligible: np.ndarray | None = None):
-    """TopK-style pruning: score = X p / ||p||, gated by tanh."""
+    """TopK-style pruning: score = X p / ||p||, gated by tanh. Returns
+    (gated kept features, selection)."""
     p_norm = T.sqrt(T.tsum(T.mul(projection, projection)))
     score = T.mul(T.matmul(x, projection), T.reciprocal(p_norm))  # n x 1
     sel = select_topk(score.values[:, 0], keep_ratio, eligible)
     gate = T.matmul(T.tanh(score), T.Tensor(np.ones((1, x.cols))))
-    x_kept = T.mul_const(T.mul(x, gate), sel[:, None])
-    return x_kept, score.values[:, 0].copy(), sel
+    return T.mul_const(T.mul(x, gate), sel[:, None]), sel
 
 
 # -- mincut pooling --------------------------------------------------------
@@ -85,9 +83,9 @@ def mincut_pool(h: T.Tensor, adjacency: np.ndarray,
                 assign_w: T.Tensor, assign_b: T.Tensor):
     """Soft spectral clustering of node embeddings h.
 
-    Returns the coarse features S^T h, coarse adjacency S^T A S, and the
-    auxiliary loss: cut term -tr(S^T A S)/tr(S^T D S) (0 for edgeless graphs)
-    plus orthogonality ||S^T S / ||S^T S||_F - I/sqrt(K)||_F.
+    Returns the coarse features S^T h and the auxiliary loss: cut term
+    -tr(S^T A S)/tr(S^T D S) (0 for edgeless graphs) plus orthogonality
+    ||S^T S / ||S^T S||_F - I/sqrt(K)||_F.
     """
     k = assign_w.cols
     if k < 2:
@@ -96,7 +94,6 @@ def mincut_pool(h: T.Tensor, adjacency: np.ndarray,
     st = T.transpose(s)
     x_coarse = T.matmul(st, h)
     a_s = T.matmul(T.Tensor(adjacency), s)
-    a_coarse = T.matmul(st, a_s)
 
     deg = adjacency.sum(axis=1)
     if deg.sum() > 0:
@@ -112,7 +109,7 @@ def mincut_pool(h: T.Tensor, adjacency: np.ndarray,
     resid = T.add_const(normed, -np.eye(k) / math.sqrt(k))
     ortho = T.sqrt(T.tsum(T.mul(resid, resid)))
 
-    return x_coarse, a_coarse, T.add(cut, ortho)
+    return x_coarse, T.add(cut, ortho)
 
 
 # -- backends --------------------------------------------------------------
@@ -123,7 +120,6 @@ class PoolBackend:
     out_width: int
     params: dict = field(default_factory=dict)          # name -> Tensor
     keep_ratio: float = 0.75
-    aux_loss_weight: float = 1.0
 
     def parameters(self):
         return list(self.params.values())
@@ -142,28 +138,25 @@ class PoolBackend:
             h = gcn_layer(x_prime, self.params["w"], a_prime)
             return masked_sum_readout(h, indicator), None, indicator
         if self.kind == "attention-topk":
-            x_kept, _, _, sel = attention_topk_pool(
+            x_kept, sel = attention_topk_pool(
                 x_prime, a_prime, self.keep_ratio, self.params["score_w"], indicator)
             return masked_mean_readout(x_kept, sel), None, sel
         if self.kind == "feature-topk":
-            x_kept, _, sel = feature_topk_pool(
+            x_kept, sel = feature_topk_pool(
                 x_prime, self.keep_ratio, self.params["proj"], indicator)
             return masked_mean_readout(x_kept, sel), None, sel
         if self.kind == "mincut":
             h = gcn_layer(x_prime, self.params["gcn_w"], a_prime)
-            x_coarse, _, l_pool = mincut_pool(h, a_prime, self.params["assign_w"],
-                                              self.params["assign_b"])
+            x_coarse, l_pool = mincut_pool(h, a_prime, self.params["assign_w"],
+                                           self.params["assign_b"])
             k = self.params["assign_w"].cols
             h_g = T.matmul(T.Tensor(np.full((1, k), 1.0 / k)), x_coarse)
-            if self.aux_loss_weight != 1.0:
-                l_pool = T.scale(l_pool, self.aux_loss_weight)
             return h_g, l_pool, indicator
         raise ConfigError(f"unknown backend kind '{self.kind}'; valid: {BACKEND_KINDS}")
 
 
 def make_backend(kind: str, in_width: int, rng: np.random.Generator, hidden: int = 32,
-                 keep_ratio: float = 0.75, clusters: int = 4,
-                 aux_loss_weight: float = 1.0) -> PoolBackend:
+                 keep_ratio: float = 0.75, clusters: int = 4) -> PoolBackend:
     if kind in ("mean", "sum"):
         return PoolBackend(kind, in_width)
     if kind == "gcn-sum":
@@ -178,7 +171,7 @@ def make_backend(kind: str, in_width: int, rng: np.random.Generator, hidden: int
         params = {"gcn_w": T.param(None, rng, (in_width, hidden)),
                   "assign_w": T.param(None, rng, (hidden, clusters)),
                   "assign_b": T.param(np.zeros((1, clusters)))}
-        return PoolBackend(kind, hidden, params, aux_loss_weight=aux_loss_weight)
+        return PoolBackend(kind, hidden, params)
     raise ConfigError(f"unknown backend kind '{kind}'; valid: {BACKEND_KINDS}")
 
 

@@ -40,18 +40,11 @@ class TrainConfig:
     overlap_ratio: float | None = None  # None -> 0.25 iff a view would have < 4 features
     latent_width: int = 64
     backend: str = "mean"
-    backend_hidden: int = 32
     keep_ratio: float = 0.75
     clusters: int | None = None         # None -> ceil(mean train graph size / 4)
-    aux_loss_weight: float = 1.0
     classifier_hidden: int = 32
     use_mvp: bool = True
     use_recon_loss: bool = True
-    use_pool_loss: bool = True
-    standardize_features: bool = True
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1:
@@ -81,11 +74,19 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        # removed keys load only at the one value they ever took, so run
+        # manifests written before their removal still load
+        removed = {"backend_hidden": 32, "aux_loss_weight": 1.0, "use_pool_loss": True,
+                   "standardize_features": True, "adam_beta1": 0.9, "adam_beta2": 0.999,
+                   "adam_eps": 1e-8}
         known = {f.name for f in dataclasses.fields(cls)}
         for key in d:
-            if key not in known:
+            if key in removed and d[key] != removed[key]:
+                raise ConfigError(f"config key '{key}' was removed; it loads only at its "
+                                  f"former default {removed[key]!r}, got {d[key]!r}")
+            if key not in known and key not in removed:
                 raise ConfigError(f"unknown config key '{key}'")
-        d = dict(d)
+        d = {k: v for k, v in d.items() if k not in removed}
         if "seeds" in d:
             d["seeds"] = tuple(int(s) for s in d["seeds"])
         return cls(**d)
@@ -94,17 +95,16 @@ class TrainConfig:
 class Adam:
     """Adaptive-moment gradient descent over a list of parameter tensors."""
 
-    def __init__(self, params: list[T.Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[T.Tensor], lr: float):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = [np.zeros(p.shape) for p in params]
         self.v = [np.zeros(p.shape) for p in params]
         self.t = 0
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
@@ -112,7 +112,7 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1 - b2) * p.grad ** 2
             m_hat = self.m[i] / (1 - b1 ** self.t)
             v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
 
     def zero_grad(self):
         for p in self.params:
@@ -173,15 +173,12 @@ def build_model(config: TrainConfig, dataset: Dataset, sp: SplitSpec, seed: int)
     if clusters is None:
         mean_n = np.mean([dataset.graphs[i].n for i in sp.train])
         clusters = max(2, math.ceil(mean_n / 4))
-    backend = make_backend(config.backend, dataset.d, rng, hidden=config.backend_hidden,
-                           keep_ratio=config.keep_ratio, clusters=int(clusters),
-                           aux_loss_weight=config.aux_loss_weight)
+    backend = make_backend(config.backend, dataset.d, rng, keep_ratio=config.keep_ratio,
+                           clusters=int(clusters))
     classifier = ClassifierHead.init(backend.out_width, config.classifier_hidden,
                                      dataset.num_classes, rng)
-    scaler = (FeatureScaler.fit(dataset, sp.train) if config.standardize_features
-              else FeatureScaler.identity(dataset.d))
     return MvpModel(config, partition, encoder, recon, backend, classifier,
-                    scaler, dataset.num_classes)
+                    FeatureScaler.fit(dataset, sp.train), dataset.num_classes)
 
 
 @dataclass
@@ -218,8 +215,7 @@ def forward_graph(model: MvpModel, graph: Graph, use_mvp: bool | None = None,
     return ForwardResult(logits, la, lx, l_pool, scores, indicator)
 
 
-def combined_loss(result: ForwardResult, label: int,
-                  use_recon: bool = True, use_pool: bool = True):
+def combined_loss(result: ForwardResult, label: int, use_recon: bool = True):
     """Unweighted sum of the enabled terms; disabled terms contribute exactly 0."""
     loss = T.cross_entropy(result.logits, label)
     parts = {"ce": loss.item(), "la": 0.0, "lx": 0.0, "pool": 0.0}
@@ -227,27 +223,51 @@ def combined_loss(result: ForwardResult, label: int,
         loss = T.add(T.add(loss, result.la), result.lx)
         parts["la"] = result.la.item()
         parts["lx"] = result.lx.item()
-    if use_pool and result.l_pool is not None:
+    if result.l_pool is not None:
         loss = T.add(loss, result.l_pool)
         parts["pool"] = result.l_pool.item()
     return loss, parts
 
 
-def evaluate(model: MvpModel, dataset: Dataset, indices, use_mvp: bool | None = None) -> float:
-    if not len(indices):
-        return 0.0
-    correct = 0
+def evaluate(model: MvpModel, dataset: Dataset, indices,
+             threshold_c: float | None = None) -> tuple[float, list[np.ndarray]]:
+    """Accuracy over `indices` and each graph's keep indicator, from one
+    forward per graph (at `threshold_c` if given, else the configured one)."""
+    correct, indicators = 0, []
     for i in indices:
-        res = forward_graph(model, dataset.graphs[i], use_mvp=use_mvp)
+        res = forward_graph(model, dataset.graphs[i], threshold_c=threshold_c)
         correct += int(np.argmax(res.logits.values) == dataset.graphs[i].label)
-    return correct / len(indices)
+        indicators.append(res.indicator)
+    return (correct / len(indices) if len(indices) else 0.0), indicators
+
+
+def pruning_stats(dataset: Dataset, indices, indicators) -> dict:
+    """Fraction of nodes pruned (pruned nodes over all nodes) and the degree
+    histogram of pruned nodes, from the keep indicators `evaluate` returns."""
+    total = pruned = 0
+    hist: dict[int, int] = {}
+    for i, indicator in zip(indices, indicators):
+        graph = dataset.graphs[i]
+        total += graph.n
+        for deg in graph.degrees.astype(int)[indicator == 0]:
+            pruned += 1
+            hist[int(deg)] = hist.get(int(deg), 0) + 1
+    return {"fraction_pruned": pruned / total if total else 0.0,
+            "pruned_degree_histogram": {str(k): v for k, v in sorted(hist.items())}}
 
 
 def _run_phase(model: MvpModel, dataset: Dataset, sp: SplitSpec, seed: int,
-               epochs: int, use_mvp: bool, params: list[T.Tensor],
-               trace: dict, select_best: bool):
+               trace: dict, joint: bool):
+    """Pretraining (`joint` False) trains the backend and classifier on the
+    unpruned graphs. The joint phase trains every parameter, through the
+    pruning layer when the config uses it, and restores the weights of the
+    best validation epoch."""
     cfg = model.config
-    opt = Adam(params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    use_mvp = joint and cfg.use_mvp
+    epochs = cfg.epochs if joint else cfg.pretrain_epochs
+    params = model.named_parameters() if joint else model.task_parameters()
+    prefix = "joint" if joint else "pretrain"
+    opt = Adam(list(params.values()), cfg.learning_rate)
     order_rng = substream(seed, "batch")
     best = None  # (acc, epoch, state)
     for epoch in range(epochs):
@@ -258,8 +278,7 @@ def _run_phase(model: MvpModel, dataset: Dataset, sp: SplitSpec, seed: int,
         for gi in order:
             graph = dataset.graphs[gi]
             res = forward_graph(model, graph, use_mvp=use_mvp)
-            loss, parts = combined_loss(res, graph.label,
-                                        cfg.use_recon_loss, cfg.use_pool_loss)
+            loss, parts = combined_loss(res, graph.label, cfg.use_recon_loss)
             if not np.isfinite(loss.item()):
                 raise TrainingDiverged(
                     f"non-finite loss at seed {seed}, epoch {epoch}, graph {gi}: {parts}")
@@ -276,15 +295,14 @@ def _run_phase(model: MvpModel, dataset: Dataset, sp: SplitSpec, seed: int,
             opt.zero_grad()
         n_train = len(sp.train)
         for key in sums:
-            trace[f"{'joint' if use_mvp or not cfg.use_mvp else 'pretrain'}_{key}"].append(
-                sums[key] / n_train)
+            trace[f"{prefix}_{key}"].append(sums[key] / n_train)
         trace["total_loss"].append(sum(sums.values()) / n_train)
-        if select_best:
-            acc = evaluate(model, dataset, sp.val, use_mvp=use_mvp)
+        if joint:
+            acc = evaluate(model, dataset, sp.val)[0]
             trace["val_accuracy"].append(acc)
             if best is None or acc > best[0]:  # ties keep the earlier epoch
                 best = (acc, epoch, model.state_dict())
-    if select_best and best is not None:
+    if joint and best is not None:
         model.load_state_dict(best[2])
         trace["best_epoch"] = best[1]
         trace["best_val_accuracy"] = best[0]
@@ -300,29 +318,9 @@ def train_one(config: TrainConfig, dataset: Dataset, sp: SplitSpec, seed: int):
                     "joint_ce", "joint_la", "joint_lx", "joint_pool",
                     "total_loss", "val_accuracy")}
     if config.use_mvp and config.pretrain_epochs > 0:
-        _run_phase(model, dataset, sp, seed, config.pretrain_epochs, use_mvp=False,
-                   params=list(model.task_parameters().values()),
-                   trace=trace, select_best=False)
-    _run_phase(model, dataset, sp, seed, config.epochs, use_mvp=config.use_mvp,
-               params=list(model.named_parameters().values()),
-               trace=trace, select_best=True)
+        _run_phase(model, dataset, sp, seed, trace, joint=False)
+    _run_phase(model, dataset, sp, seed, trace, joint=True)
     return model, trace
-
-
-def pruning_stats(model: MvpModel, dataset: Dataset, indices) -> dict:
-    """Fraction of nodes pruned and the degree histogram of pruned nodes."""
-    total = pruned = 0
-    hist: dict[int, int] = {}
-    for i in indices:
-        graph = dataset.graphs[i]
-        res = forward_graph(model, graph)
-        total += graph.n
-        deg = graph.degrees.astype(int)
-        for node in np.nonzero(res.indicator == 0)[0]:
-            pruned += 1
-            hist[int(deg[node])] = hist.get(int(deg[node]), 0) + 1
-    return {"fraction_pruned": pruned / total if total else 0.0,
-            "pruned_degree_histogram": {str(k): v for k, v in sorted(hist.items())}}
 
 
 @dataclass
@@ -358,18 +356,16 @@ class TrialReport:
 
     def metrics_rows(self) -> list[dict]:
         return [{"seed": s, "accuracy": "%.17g" % a,
-                 "pruned_fraction": "%.17g" % ps.get("fraction_pruned", 0.0)}
-                for s, a, ps in zip(self.seeds, self.accuracies,
-                                    self.prune_stats or [{}] * len(self.seeds))]
+                 "pruned_fraction": "%.17g" % ps["fraction_pruned"]}
+                for s, a, ps in zip(self.seeds, self.accuracies, self.prune_stats)]
 
 
 def _trial(config: TrainConfig, dataset: Dataset, seed: int) -> dict:
     try:
         sp = split(dataset, seed)
         model, trace = train_one(config, dataset, sp, seed)
-        stats = (pruning_stats(model, dataset, sp.test) if config.use_mvp
-                 else {"fraction_pruned": 0.0, "pruned_degree_histogram": {}})
-        accuracy = evaluate(model, dataset, sp.test)
+        accuracy, indicators = evaluate(model, dataset, sp.test)
+        stats = pruning_stats(dataset, sp.test, indicators)
     except ConfigError:
         raise  # a bad config fails every seed alike: stop the run (CLI exit 2)
     except MvpruneError as exc:  # one bad seed must not discard the others

@@ -3,9 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from mvprune import analysis
+from mvprune import analysis, train as tr
 from mvprune.errors import ContractError
-from mvprune.graphio import Dataset, Graph
+from mvprune.graphio import Dataset, Graph, split, synth_planted_anomalies
 
 from oracles import betweenness_enum, harmonic_mean_loop, random_graph
 
@@ -170,3 +170,23 @@ def test_write_centrality_csv(tmp_path):
     assert rows[1]["betweenness"] == "1"
     assert rows[1]["pruned_mvp"] == "1"
     assert rows[0]["pruned_mvp"] == "0"
+
+
+def test_sweep_pruned_fraction_is_pruned_nodes_over_nodes():
+    small, _ = synth_planted_anomalies(12, 8, 0.15, seed=0)
+    large, _ = synth_planted_anomalies(12, 24, 0.15, seed=1)
+    ds = Dataset(small.graphs + large.graphs, small.d, 2, "mixed")
+    cfg = tr.TrainConfig(epochs=2, pretrain_epochs=1, views=4, latent_width=8,
+                         batch_size=8, seeds=(0,), classifier_hidden=8)
+    points = analysis.threshold_sweep(ds, cfg, (0.5, 1.0, 2.0))
+    sp = split(ds, 0)
+    model, _ = tr.train_one(cfg, ds, sp, 0)  # training is deterministic
+    per_graph_means = []
+    for p in points:
+        keeps = [tr.forward_graph(model, ds.graphs[i], threshold_c=p.multiplier).indicator
+                 for i in sp.test]
+        pruned = sum(int((k == 0).sum()) for k in keeps)
+        assert p.pruned_fraction == pruned / sum(k.size for k in keeps)
+        per_graph_means.append(float(np.mean([1.0 - k.mean() for k in keeps])))
+    # the corpus tells the node-weighted form from the mean of per-graph fractions
+    assert [p.pruned_fraction for p in points] != per_graph_means

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from mvprune import cli
+from mvprune import cli, train as tr
+from mvprune.errors import ContractError
 
 
 SMALL_FLAGS = ["--epochs", "2", "--pretrain-epochs", "1", "--views", "4",
@@ -175,6 +176,28 @@ def test_export_scores(tmp_path, data_dir, run_dir):
         rows = list(csv.DictReader(fh))
     assert rows and set(rows[0]) == {"graph_id", "node_id", "degree", "score", "kept"}
     assert all(r["kept"] in ("0", "1") for r in rows)
+
+
+def test_analyze_and_export_use_a_trained_seed(tmp_path, data_dir, monkeypatch):
+    real = tr.train_one
+
+    def flaky(config, dataset, sp, seed):
+        if seed == 0:
+            raise ContractError("mean readout needs at least one kept node")
+        return real(config, dataset, sp, seed)
+
+    monkeypatch.setattr(tr, "train_one", flaky)
+    run = tmp_path / "run"
+    rc = cli.main(["train", "--dataset", data_dir, "--out", str(run)]
+                  + SMALL_FLAGS + ["--seeds", "0,1"])
+    assert rc == 1  # one seed failed
+    assert sorted(os.listdir(run / "models")) == ["seed1.npz"]
+    out = tmp_path / "scores.csv"
+    assert cli.main(["export-scores", "--dataset", data_dir, "--run", str(run),
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == (run / "scores.csv").read_bytes()
+    assert cli.main(["analyze", "degree-profile", "--dataset", data_dir,
+                     "--run", str(run), "--out", str(tmp_path / "prof")]) == 0
 
 
 def test_version_flag(capsys):

@@ -59,6 +59,16 @@ def test_cross_graph_edge_reports_line_number(tmp_path):
         graphio.load_tu(str(tmp_path), name)
 
 
+def test_graph_without_nodes_is_rejected(tmp_path):
+    name = "gap"
+    (tmp_path / f"{name}_A.txt").write_text("1, 2\n3, 4\n")
+    (tmp_path / f"{name}_graph_indicator.txt").write_text("1\n1\n3\n3\n")
+    (tmp_path / f"{name}_graph_labels.txt").write_text("0\n1\n0\n")
+    (tmp_path / f"{name}_node_labels.txt").write_text("0\n0\n0\n0\n")
+    with pytest.raises(FormatError, match="graph 2 has no nodes"):
+        graphio.load_tu(str(tmp_path), name)
+
+
 def test_roundtrip_identical(tmp_path):
     ds, _ = graphio.synth_planted_anomalies(12, 9, 0.2, seed=3)
     out = tmp_path / "rt"

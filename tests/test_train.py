@@ -31,6 +31,22 @@ def test_config_roundtrip():
     assert tr.TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_config_removed_keys_load_only_at_former_defaults():
+    # run manifests written before these keys were removed carry them
+    former = {"backend_hidden": 32, "aux_loss_weight": 1.0, "use_pool_loss": True,
+              "standardize_features": True, "adam_beta1": 0.9, "adam_beta2": 0.999,
+              "adam_eps": 1e-8}
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, **former))
+    assert cfg == tr.TrainConfig.from_dict(dict(SMALL))
+    assert not set(former) & set(cfg.to_dict())
+    other = {"backend_hidden": 16, "aux_loss_weight": 0.5, "use_pool_loss": False,
+             "standardize_features": False, "adam_beta1": 0.8, "adam_beta2": 0.99,
+             "adam_eps": 1e-6}
+    for key, value in other.items():
+        with pytest.raises(ConfigError, match=f"'{key}' was removed"):
+            tr.TrainConfig.from_dict(dict(SMALL, **{key: value}))
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         tr.TrainConfig(learning_rate=0.0)
@@ -103,12 +119,11 @@ def test_loss_toggles_drop_terms(corpus):
     sp = split(corpus, 0)
     model = tr.build_model(cfg, corpus, sp, seed=0)
     res = tr.forward_graph(model, corpus.graphs[0])
-    full, _ = tr.combined_loss(res, 0, use_recon=True, use_pool=True)
-    no_recon, parts = tr.combined_loss(res, 0, use_recon=False, use_pool=True)
+    full, _ = tr.combined_loss(res, 0, use_recon=True)
+    no_recon, parts = tr.combined_loss(res, 0, use_recon=False)
     assert parts["la"] == 0.0 and parts["lx"] == 0.0
     assert full.item() > no_recon.item()  # both recon terms are positive here
-    ce_only, parts2 = tr.combined_loss(res, 0, use_recon=False, use_pool=False)
-    assert ce_only.item() == pytest.approx(parts2["ce"], rel=1e-12)
+    assert no_recon.item() == pytest.approx(parts["ce"] + parts["pool"], rel=1e-12)
 
 
 def test_uniform_classifier_gives_log_c(corpus):
@@ -118,7 +133,7 @@ def test_uniform_classifier_gives_log_c(corpus):
     for p in model.classifier.parameters():
         p.values[:] = 0.0
     res = tr.forward_graph(model, corpus.graphs[0])
-    loss, _ = tr.combined_loss(res, 0, use_recon=False, use_pool=False)
+    loss, _ = tr.combined_loss(res, 0)
     assert loss.item() == pytest.approx(np.log(corpus.num_classes), abs=1e-12)
 
 
@@ -239,6 +254,27 @@ def test_training_steps_leave_no_reference_cycles(corpus, backend):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_trial_forwards_each_test_graph_once(corpus, monkeypatch):
+    real_train, real_forward = tr.train_one, tr.forward_graph
+    trained, forwarded = [], []
+
+    def train_one(*args):
+        out = real_train(*args)
+        trained.append(True)
+        return out
+
+    def forward_graph(model, graph, *args, **kwargs):
+        if trained:
+            forwarded.append(id(graph))
+        return real_forward(model, graph, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "train_one", train_one)
+    monkeypatch.setattr(tr, "forward_graph", forward_graph)
+    result = tr._trial(tr.TrainConfig.from_dict(dict(SMALL)), corpus, 0)
+    assert result["ok"]
+    assert sorted(forwarded) == sorted(id(corpus.graphs[i]) for i in split(corpus, 0).test)
 
 
 def test_run_trials_parallel_matches_serial(corpus):
