@@ -2,6 +2,7 @@
 
 __version__ = "0.1.0"
 
+import ctypes
 from .graphio import Dataset, Graph, SplitSpec, load_tu, save_tu, split, synth_planted_anomalies
 from .multiview import (ViewEncoder, ViewPartition, encode_views_xa, make_partition,
                         normalize_adjacency)
@@ -16,3 +17,12 @@ __all__ = [
     "MvpModel", "TrainConfig", "TrialReport", "forward_graph", "run_trials",
     "train_one", "__version__",
 ]
+
+# Each forward frees dozens of n x n arrays. Under glibc's adaptive mmap and
+# trim thresholds, how many of them go back to the kernel, to be page-faulted in
+# again, depends on earlier allocations; fixed thresholds keep them on the heap.
+try:
+    ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap below 32 MB
+    ctypes.CDLL(None).mallopt(-1, 512 << 20)  # M_TRIM_THRESHOLD: trim above 512 MB free
+except (OSError, AttributeError, TypeError):  # no glibc mallopt: leave malloc as it is
+    pass
