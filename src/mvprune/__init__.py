@@ -22,7 +22,10 @@ __all__ = [
 # trim thresholds, how many of them go back to the kernel, to be page-faulted in
 # again, depends on earlier allocations; fixed thresholds keep them on the heap.
 try:
-    ctypes.CDLL(None).mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap below 32 MB
-    ctypes.CDLL(None).mallopt(-1, 512 << 20)  # M_TRIM_THRESHOLD: trim above 512 MB free
+    mallopt = ctypes.CDLL(None).mallopt  # the C library, loaded once
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap below 32 MB
+    mallopt(-1, 512 << 20)  # M_TRIM_THRESHOLD: trim above 512 MB free
+    del mallopt
 except (OSError, AttributeError, TypeError):  # no glibc mallopt: leave malloc as it is
     pass

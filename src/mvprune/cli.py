@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -39,10 +40,9 @@ def _load_dataset(path: str, name: str | None):
     return load_tu(directory, name or os.path.basename(os.path.normpath(directory)))
 
 
-def _prepare_out(out: str, force: bool):
+def _refuse_nonempty_out(out: str, force: bool):
     if os.path.isdir(out) and os.listdir(out) and not force:
         raise MvpruneError(f"output directory {out} is not empty; pass --force to overwrite")
-    os.makedirs(out, exist_ok=True)
 
 
 def _resolve_config(args) -> TrainConfig:
@@ -88,8 +88,7 @@ def _write_metrics(report, path: str):
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["seed", "accuracy", "pruned_fraction"])
         writer.writeheader()
-        for row in report.metrics_rows():
-            writer.writerow(row)
+        writer.writerows(report.metrics_rows())
 
 
 def _scores_and_keeps(model, dataset):
@@ -132,17 +131,23 @@ def _load_run_model(run_dir: str, dataset):
 def cmd_train(args) -> int:
     config = _resolve_config(args)
     dataset = _load_dataset(args.dataset, args.name)
-    _prepare_out(args.out, args.force)
+    _refuse_nonempty_out(args.out, args.force)
     report, models = run_trials(config, dataset, return_models=True, jobs=args.jobs)
-    train_mod.save_report(report, os.path.join(args.out, "report.json"))
-    _write_metrics(report, os.path.join(args.out, "metrics.csv"))
-    models_dir = os.path.join(args.out, "models")
-    os.makedirs(models_dir, exist_ok=True)
-    for seed, model in zip(report.seeds, models):
-        np.savez(os.path.join(models_dir, f"seed{seed}.npz"), **model.state_dict())
-    if models:
-        export_scores(_score_rows(models[0], dataset), os.path.join(args.out, "scores.csv"))
-    _write_manifest(args.out, config, dataset, args.dataset, report, "train")
+    tmp = os.path.normpath(args.out) + ".tmp"  # replaces <out> once it holds the manifest
+    shutil.rmtree(tmp, ignore_errors=True)
+    try:
+        os.makedirs(os.path.join(tmp, "models"))
+        train_mod.save_report(report, os.path.join(tmp, "report.json"))
+        _write_metrics(report, os.path.join(tmp, "metrics.csv"))
+        for seed, model in zip(report.seeds, models):
+            np.savez(os.path.join(tmp, "models", f"seed{seed}.npz"), **model.state_dict())
+        if models:
+            export_scores(_score_rows(models[0], dataset), os.path.join(tmp, "scores.csv"))
+        _write_manifest(tmp, config, dataset, args.dataset, report, "train")
+        shutil.rmtree(args.out, ignore_errors=True)
+        os.rename(tmp, args.out)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
     print(f"accuracy {report.mean_accuracy:.4f} +/- {report.std_accuracy:.4f} "
           f"over {len(report.seeds)} seeds ({len(report.failures)} failures)")
     return EXIT_OK if not report.failures else EXIT_ERROR
@@ -153,7 +158,7 @@ def cmd_synth(args) -> int:
         args.graphs, args.nodes, args.anomaly, args.seed,
         n_classes=args.classes, n_features=args.features,
         name=os.path.basename(os.path.normpath(args.out)))
-    _prepare_out(args.out, args.force)
+    _refuse_nonempty_out(args.out, args.force)
     save_tu(dataset, args.out)
     save_anomaly_truth(truth, args.out, dataset.name)
     print(f"wrote {len(dataset)} graphs to {args.out}")
@@ -185,9 +190,10 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
     dataset = _load_dataset(args.dataset, args.name)
-    _prepare_out(args.out, args.force)
+    _refuse_nonempty_out(args.out, args.force)
     multipliers = [float(m) for m in args.multipliers.split(",")]
     points = analysis.threshold_sweep(dataset, config, multipliers, retrain=args.retrain)
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     analysis.write_sweep_csv(path, dataset.name, points)
     print(f"wrote {path}")

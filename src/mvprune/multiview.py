@@ -86,19 +86,21 @@ class ViewEncoder:
 
 
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """D^{-1/2} (A + I) D^{-1/2} with degrees taken from A + I.
+    """D^{-1/2} (A + I) D^{-1/2} with degrees from A + I; the I goes on the diagonal.
 
     Constant with respect to training, so it enters the tape as a constant.
     """
-    a_hat = adjacency + np.eye(adjacency.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
+    inv_sqrt = 1.0 / np.sqrt(adjacency.sum(axis=1) + 1.0)
+    prop = inv_sqrt[:, None] * adjacency
+    prop *= inv_sqrt[None, :]
+    prop.flat[::prop.shape[0] + 1] += inv_sqrt * inv_sqrt
+    return prop
 
 
-def gcn_layer(h: T.Tensor, weight: T.Tensor, adjacency: np.ndarray,
+def gcn_layer(h: T.Tensor, weight: T.Tensor, propagation: np.ndarray,
               activation=T.relu) -> T.Tensor:
-    """One graph convolution: act(norm(A) @ h @ weight)."""
-    prop = T.matmul(T.Tensor(normalize_adjacency(adjacency)), T.matmul(h, weight))
+    """One graph convolution: act(P @ h @ weight), P = normalize_adjacency(A)."""
+    prop = T.matmul(T.Tensor(propagation), T.matmul(h, weight))
     return activation(prop) if activation is not None else prop
 
 
@@ -108,6 +110,7 @@ def encode_views_xa(x: np.ndarray, adjacency: np.ndarray, partition: ViewPartiti
     if len(partition.columns_per_view) != len(encoder.embed_weights):
         raise ContractError("partition and encoder view counts differ")
     x_t = T.Tensor(x)
+    propagation = normalize_adjacency(adjacency)  # shared by every view
     parts = []
     for cols, w_embed, w_gcn in zip(partition.columns_per_view,
                                     encoder.embed_weights, encoder.gcn_weights):
@@ -115,5 +118,5 @@ def encode_views_xa(x: np.ndarray, adjacency: np.ndarray, partition: ViewPartiti
             raise ContractError(
                 f"view expects {w_embed.rows} columns, partition provides {len(cols)}")
         embedded = T.matmul(T.slice_cols(x_t, cols), w_embed)  # linear, no activation
-        parts.append(gcn_layer(embedded, w_gcn, adjacency))
+        parts.append(gcn_layer(embedded, w_gcn, propagation))
     return T.concat_cols(parts)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
+from . import multiview, tensor as T
 from .errors import ConfigError, ContractError
 from .multiview import gcn_layer
 
@@ -60,7 +60,7 @@ def attention_topk_pool(x: T.Tensor, adjacency: np.ndarray, keep_ratio: float,
     """Self-attention pruning: a 1-output GCN scores nodes, the top fraction
     survives, and kept features are gated by tanh(score) so the score weight
     receives gradient. Returns (gated kept features, selection)."""
-    score = gcn_layer(x, score_weight, adjacency, activation=None)  # n x 1
+    score = gcn_layer(x, score_weight, multiview.normalize_adjacency(adjacency), activation=None)
     sel = select_topk(score.values[:, 0], keep_ratio, eligible)
     gate = T.matmul(T.tanh(score), T.Tensor(np.ones((1, x.cols))))
     return T.mul_const(T.mul(x, gate), sel[:, None]), sel
@@ -135,7 +135,7 @@ class PoolBackend:
         if self.kind == "sum":
             return masked_sum_readout(x_prime, indicator), None, indicator
         if self.kind == "gcn-sum":
-            h = gcn_layer(x_prime, self.params["w"], a_prime)
+            h = gcn_layer(x_prime, self.params["w"], multiview.normalize_adjacency(a_prime))
             return masked_sum_readout(h, indicator), None, indicator
         if self.kind == "attention-topk":
             x_kept, sel = attention_topk_pool(
@@ -146,7 +146,7 @@ class PoolBackend:
                 x_prime, self.keep_ratio, self.params["proj"], indicator)
             return masked_mean_readout(x_kept, sel), None, sel
         if self.kind == "mincut":
-            h = gcn_layer(x_prime, self.params["gcn_w"], a_prime)
+            h = gcn_layer(x_prime, self.params["gcn_w"], multiview.normalize_adjacency(a_prime))
             x_coarse, l_pool = mincut_pool(h, a_prime, self.params["assign_w"],
                                            self.params["assign_b"])
             k = self.params["assign_w"].cols

@@ -52,8 +52,7 @@ def recon_losses(adjacency: np.ndarray, features: np.ndarray,
     la = T.scale(T.tsum(T.add(pos, neg)), -1.0 / (n * n))
     diff = T.add_const(T.scale(x_hat, -1.0), features)
     lx = T.scale(T.tsum(T.mul(diff, diff)), 1.0 / (n * d))
-    lr = T.add(la, lx)
-    return la, lx, lr
+    return la, lx, T.add(la, lx)
 
 
 def node_scores(adjacency: np.ndarray, features: np.ndarray,

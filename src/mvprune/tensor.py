@@ -167,8 +167,8 @@ def relu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     x = a.values
     # branch on sign so exp never overflows
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s, _parents=(a,))
     out._backward = lambda g: _accum(a, g * s * (1.0 - s))
     return out

@@ -184,11 +184,10 @@ def build_model(config: TrainConfig, dataset: Dataset, sp: SplitSpec, seed: int)
 @dataclass
 class ForwardResult:
     logits: T.Tensor
-    la: T.Tensor | None
-    lx: T.Tensor | None
     l_pool: T.Tensor | None
     scores: np.ndarray | None
     indicator: np.ndarray
+    recon_args: tuple | None  # (A, standardized X, A_hat, X_hat): recon_losses' inputs
 
 
 def forward_graph(model: MvpModel, graph: Graph, use_mvp: bool | None = None,
@@ -198,11 +197,11 @@ def forward_graph(model: MvpModel, graph: Graph, use_mvp: bool | None = None,
         use_mvp = cfg.use_mvp
     c = cfg.threshold_c if threshold_c is None else threshold_c
     x_std = model.scaler.transform(graph.features)
-    la = lx = scores = None
+    scores = recon_args = None
     if use_mvp:
         z = encode_views_xa(x_std, graph.adjacency, model.partition, model.encoder)
         a_hat, x_hat = reconstruct(z, model.recon)
-        la, lx, _ = recon_losses(graph.adjacency, x_std, a_hat, x_hat)
+        recon_args = (graph.adjacency, x_std, a_hat, x_hat)
         scores = node_scores(graph.adjacency, x_std, a_hat.values, x_hat.values, cfg.lam)
         indicator, _, _ = build_indicator(scores, c)
         # straight-through: the indicator enters the task path only as a constant
@@ -212,17 +211,17 @@ def forward_graph(model: MvpModel, graph: Graph, use_mvp: bool | None = None,
         x_in, a_in = x_std, graph.adjacency
     h_g, l_pool, _ = model.backend.forward(T.Tensor(x_in), a_in, indicator)
     logits = classify(h_g, model.classifier)
-    return ForwardResult(logits, la, lx, l_pool, scores, indicator)
+    return ForwardResult(logits, l_pool, scores, indicator, recon_args)
 
 
 def combined_loss(result: ForwardResult, label: int, use_recon: bool = True):
-    """Unweighted sum of the enabled terms; disabled terms contribute exactly 0."""
+    """Unweighted sum of the enabled terms; disabled terms are not built and add 0."""
     loss = T.cross_entropy(result.logits, label)
     parts = {"ce": loss.item(), "la": 0.0, "lx": 0.0, "pool": 0.0}
-    if use_recon and result.la is not None:
-        loss = T.add(T.add(loss, result.la), result.lx)
-        parts["la"] = result.la.item()
-        parts["lx"] = result.lx.item()
+    if use_recon and result.recon_args is not None:
+        la, lx, _ = recon_losses(*result.recon_args)
+        loss = T.add(T.add(loss, la), lx)
+        parts["la"], parts["lx"] = la.item(), lx.item()
     if result.l_pool is not None:
         loss = T.add(loss, result.l_pool)
         parts["pool"] = result.l_pool.item()

@@ -1,13 +1,17 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately naive (loops, enumeration, finite
-differences) and shares no code with the library paths it checks.
+differences) and shares no code with the library paths it checks. The one
+exception is `forward_ref`, the slower forward that the fast one replaced,
+kept as the reference the fast path must match bit for bit.
 """
 
 import itertools
 from collections import deque
 
 import numpy as np
+
+from mvprune import pooling, prune, tensor as T
 
 
 def finite_diff(f, params, step=1e-5):
@@ -168,3 +172,73 @@ def random_graph(rng, n, p=0.4, d=4):
                 adj[i, j] = adj[j, i] = 1.0
     feats = rng.normal(size=(n, d))
     return adj, feats
+
+
+# -- the forward before one propagation matrix per call --------------------
+#
+# Built from the tape primitives and the library helpers that the fast path
+# left unchanged: each view normalizes an explicit A + I, the backends
+# normalize inside every GCN call, the sigmoid takes three exps, and the
+# reconstruction losses are built inside the forward.
+
+def normalize_adjacency_ref(adjacency):
+    """D^-1/2 (A + I) D^-1/2 scaled from an explicit A + I."""
+    a_loop = adjacency + np.eye(adjacency.shape[0])
+    inv_sqrt = 1.0 / np.sqrt(a_loop.sum(axis=1))
+    return inv_sqrt[:, None] * a_loop * inv_sqrt[None, :]
+
+
+def _sigmoid_ref(a):
+    x = a.values
+    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = T.Tensor(s, _parents=(a,))
+    out._backward = lambda g: T._accum(a, g * s * (1.0 - s))
+    return out
+
+
+def _gcn_ref(h, weight, adjacency, activation=T.relu):
+    prop = T.matmul(T.Tensor(normalize_adjacency_ref(adjacency)), T.matmul(h, weight))
+    return activation(prop) if activation is not None else prop
+
+
+def _backend_ref(backend, x, a, indicator):
+    """(h_G, l_pool) of `PoolBackend.forward`, normalizing inside each GCN call."""
+    params = backend.params
+    if backend.kind == "gcn-sum":
+        return pooling.masked_sum_readout(_gcn_ref(x, params["w"], a), indicator), None
+    if backend.kind == "attention-topk":
+        score = _gcn_ref(x, params["score_w"], a, activation=None)
+        sel = pooling.select_topk(score.values[:, 0], backend.keep_ratio, indicator)
+        gate = T.matmul(T.tanh(score), T.Tensor(np.ones((1, x.cols))))
+        return pooling.masked_mean_readout(T.mul_const(T.mul(x, gate), sel[:, None]), sel), None
+    if backend.kind == "mincut":
+        h = _gcn_ref(x, params["gcn_w"], a)
+        x_coarse, l_pool = pooling.mincut_pool(h, a, params["assign_w"], params["assign_b"])
+        k = params["assign_w"].cols
+        return T.matmul(T.Tensor(np.full((1, k), 1.0 / k)), x_coarse), l_pool
+    h_g, l_pool, _ = backend.forward(x, a, indicator)  # no propagation matrix
+    return h_g, l_pool
+
+
+def forward_ref(model, graph):
+    """MVP forward and training loss the slow way: (logits, scores, indicator, loss)."""
+    cfg = model.config
+    x_std = model.scaler.transform(graph.features)
+    x_t = T.Tensor(x_std)
+    views = zip(model.partition.columns_per_view, model.encoder.embed_weights,
+                model.encoder.gcn_weights)
+    z = T.concat_cols([_gcn_ref(T.matmul(T.slice_cols(x_t, cols), w_embed), w_gcn,
+                                graph.adjacency) for cols, w_embed, w_gcn in views])
+    a_hat = _sigmoid_ref(T.matmul(z, T.transpose(z)))
+    x_hat = T.relu(T.add(T.matmul(z, model.recon.weight), model.recon.bias))
+    la, lx, _ = prune.recon_losses(graph.adjacency, x_std, a_hat, x_hat)
+    scores = prune.node_scores(graph.adjacency, x_std, a_hat.values, x_hat.values, cfg.lam)
+    indicator, _, _ = prune.build_indicator(scores, cfg.threshold_c)
+    x_in, a_in = prune.apply_mask(x_std, graph.adjacency, indicator)
+    h_g, l_pool = _backend_ref(model.backend, T.Tensor(x_in), a_in, indicator)
+    logits = pooling.classify(h_g, model.classifier)
+    loss = T.add(T.add(T.cross_entropy(logits, graph.label), la), lx)
+    if l_pool is not None:
+        loss = T.add(loss, l_pool)
+    return logits, scores, indicator, loss

@@ -1,11 +1,12 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from mvprune import cli, train as tr
-from mvprune.errors import ContractError
+from mvprune.errors import ContractError, MvpruneError
 
 
 SMALL_FLAGS = ["--epochs", "2", "--pretrain-epochs", "1", "--views", "4",
@@ -67,8 +68,8 @@ def test_train_from_manifest_reproduces_metrics(tmp_path, run_dir, data_dir):
     rc = cli.main(["train", "--dataset", data_dir, "--out", str(out),
                    "--config", os.path.join(run_dir, "manifest.json")])
     assert rc == 0
-    original = open(os.path.join(run_dir, "metrics.csv"), "rb").read()
-    replay = open(os.path.join(out, "metrics.csv"), "rb").read()
+    original = (Path(run_dir) / "metrics.csv").read_bytes()
+    replay = (out / "metrics.csv").read_bytes()
     assert original == replay
 
 
@@ -115,6 +116,30 @@ def test_train_force_overwrites(tmp_path, data_dir):
     args = ["train", "--dataset", data_dir, "--out", str(out)] + SMALL_FLAGS
     assert cli.main(args) == 0
     assert cli.main(args + ["--force"]) == 0
+
+
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def test_train_failing_midway_leaves_no_partial_run(tmp_path, data_dir, monkeypatch):
+    out = tmp_path / "atomic"
+    args = ["train", "--dataset", data_dir, "--out", str(out)] + SMALL_FLAGS
+    assert cli.main(args) == 0
+    finished = _tree_bytes(out)
+
+    def failing_export(rows, path):
+        next(iter(rows))
+        raise MvpruneError("disk full")
+
+    monkeypatch.setattr(cli, "export_scores", failing_export)
+    fresh = tmp_path / "fresh"
+    assert cli.main(["train", "--dataset", data_dir, "--out", str(fresh)] + SMALL_FLAGS) == 1
+    assert not fresh.exists()
+    assert cli.main(args + ["--force"]) == 1
+    assert _tree_bytes(out) == finished  # --force replaces <out> only on success
+    assert sorted(os.listdir(tmp_path)) == ["atomic"]  # no <out>.tmp is left behind
 
 
 def test_analyze_centrality(tmp_path, data_dir, run_dir):

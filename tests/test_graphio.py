@@ -1,4 +1,5 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -80,6 +81,36 @@ def test_roundtrip_identical(tmp_path):
         assert a.label == b.label
         assert np.array_equal(a.adjacency, b.adjacency)
         assert np.array_equal(a.features, b.features)
+
+
+@st.composite
+def tu_datasets(draw):
+    d = draw(st.integers(min_value=1, max_value=3))
+    graphs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        n = draw(st.integers(min_value=1, max_value=7))
+        bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        upper = np.triu(np.array(bits, dtype=float).reshape(n, n), 1)
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=n * d, max_size=n * d))
+        label = draw(st.integers(min_value=-2, max_value=3))
+        graphs.append(graphio.Graph(upper + upper.T, np.array(values).reshape(n, d), label))
+    labels = sorted({g.label for g in graphs})
+    return graphio.Dataset(graphs, d, len(labels), "prop")
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=tu_datasets())
+def test_roundtrip_property(ds):
+    with tempfile.TemporaryDirectory() as out:
+        graphio.save_tu(ds, out)
+        back = graphio.load_tu(out, ds.name)
+    labels = sorted({g.label for g in ds.graphs})  # loading remaps labels to 0..C-1
+    assert (len(back), back.d, back.num_classes) == (len(ds), ds.d, ds.num_classes)
+    for a, b in zip(ds.graphs, back.graphs):
+        assert np.array_equal(a.adjacency, b.adjacency)
+        assert np.array_equal(a.features, b.features)
+        assert b.label == labels.index(a.label)
 
 
 def test_loaded_graphs_are_symmetric_zero_diag(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mvprune import multiview as mv, tensor as T
 from mvprune.errors import ConfigError
 
-from oracles import finite_diff, random_graph, rel_err
+from oracles import finite_diff, normalize_adjacency_ref, random_graph, rel_err
 
 
 # -- partitions ------------------------------------------------------------
@@ -102,6 +102,20 @@ def test_normalize_path_of_three():
     assert np.allclose(got, expected, atol=1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40), seed=st.integers(min_value=0, max_value=2**32),
+       density=st.floats(0.0, 1.0), keep=st.floats(0.0, 1.0))
+def test_normalize_matches_explicit_self_loops_exactly(n, seed, density, keep):
+    rng = np.random.default_rng(seed)
+    upper = np.triu((rng.random((n, n)) < density).astype(float), 1)
+    mask = (rng.random(n) < keep).astype(float)
+    adj = (upper + upper.T) * mask[:, None] * mask[None, :]  # masked rows and columns
+    before = adj.copy()
+    got = mv.normalize_adjacency(adj)
+    assert np.array_equal(got, normalize_adjacency_ref(adj))
+    assert np.array_equal(adj, before)  # the input is not written
+
+
 @pytest.mark.parametrize("n", [150, 620])
 def test_gcn_layer_matches_numpy_oracle(n):
     # sizes of PROTEINS-like graphs; the oracle builds D^-1/2 (A+I) D^-1/2 with
@@ -114,11 +128,11 @@ def test_gcn_layer_matches_numpy_oracle(n):
     a_loop = adj + np.eye(n)
     d_inv_sqrt = np.diag(1.0 / np.sqrt(a_loop.sum(axis=1)))
     want = np.maximum(d_inv_sqrt @ a_loop @ d_inv_sqrt @ h.values @ w.values, 0.0)
-    got = mv.gcn_layer(h, w, adj)
+    got = mv.gcn_layer(h, w, mv.normalize_adjacency(adj))
     assert np.abs(got.values - want).max() < 1e-10
     if n == 150:
         weights = rng.normal(size=(n, 2))  # non-uniform functional so the Jacobian matters
-        f = lambda: T.tsum(T.mul_const(mv.gcn_layer(h, w, adj), weights))
+        f = lambda: T.tsum(T.mul_const(mv.gcn_layer(h, w, mv.normalize_adjacency(adj)), weights))
         T.backward(f())
         fd = finite_diff(lambda: f().item(), [h, w])
         assert rel_err(h.grad, fd[0]) < 1e-6

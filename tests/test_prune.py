@@ -119,6 +119,20 @@ def test_indicator_invariant_to_scale_and_shift():
 
 
 @settings(max_examples=200, deadline=None)
+@given(scores=st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1, max_size=40),
+       exponent=st.integers(min_value=-40, max_value=40),
+       c=st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+def test_indicator_invariant_to_power_of_two_scaling(scores, exponent, c):
+    # scaling by 2^k is exact in floating point, so mu, sigma and every
+    # comparison scale exactly with it
+    scores = np.array(scores)
+    base, mu, sigma = prune.build_indicator(scores, c)
+    scaled, mu_s, sigma_s = prune.build_indicator(np.ldexp(scores, exponent), c)
+    assert np.array_equal(base, scaled)
+    assert (mu_s, sigma_s) == (np.ldexp(mu, exponent), np.ldexp(sigma, exponent))
+
+
+@settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6),
        n=st.integers(min_value=2, max_value=60),
        c=st.sampled_from([1.0, 1.5, 2.0, 3.0]))

@@ -4,11 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from mvprune import train as tr, tensor as T
-from mvprune.errors import ConfigError, ContractError
-from mvprune.graphio import split, synth_planted_anomalies
+from hypothesis import given, settings, strategies as st
 
-from oracles import finite_diff, rel_err
+from mvprune import multiview as mv, train as tr, tensor as T
+from mvprune.errors import ConfigError, ContractError
+from mvprune.graphio import Dataset, Graph, split, synth_planted_anomalies
+from mvprune.pooling import BACKEND_KINDS
+
+from oracles import finite_diff, forward_ref, random_graph, rel_err
 
 
 SMALL = dict(epochs=2, pretrain_epochs=1, views=4, latent_width=8,
@@ -45,6 +48,23 @@ def test_config_removed_keys_load_only_at_former_defaults():
     for key, value in other.items():
         with pytest.raises(ConfigError, match=f"'{key}' was removed"):
             tr.TrainConfig.from_dict(dict(SMALL, **{key: value}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=st.builds(
+    tr.TrainConfig,
+    epochs=st.integers(0, 500), pretrain_epochs=st.integers(0, 100),
+    learning_rate=st.floats(1e-6, 1.0), batch_size=st.integers(1, 256),
+    seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=10).map(tuple),
+    lam=st.floats(0.0, 1.0), threshold_c=st.floats(1e-3, 10.0),
+    views=st.integers(1, 16), overlap_ratio=st.none() | st.floats(0.0, 0.99),
+    latent_width=st.integers(1, 128), backend=st.sampled_from(BACKEND_KINDS),
+    keep_ratio=st.floats(1e-3, 1.0), clusters=st.none() | st.integers(2, 64),
+    classifier_hidden=st.integers(1, 64), use_mvp=st.booleans(),
+    use_recon_loss=st.booleans()))
+def test_config_dict_roundtrip_property(cfg):
+    # through JSON, as a run manifest stores it
+    assert tr.TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_config_validation():
@@ -101,7 +121,7 @@ def test_forward_without_mvp_keeps_everything(corpus):
     model = tr.build_model(cfg, corpus, sp, seed=0)
     res = tr.forward_graph(model, corpus.graphs[0])
     assert res.indicator.sum() == corpus.graphs[0].n
-    assert res.la is None and res.scores is None
+    assert res.scores is None
 
 
 def test_combined_loss_is_sum_of_parts(corpus):
@@ -293,3 +313,116 @@ def test_save_report_is_json(tmp_path, corpus):
     loaded = json.loads(path.read_text())
     assert loaded["seeds"] == [0]
     assert loaded["mean_accuracy"] == report.mean_accuracy
+
+
+# -- the fast forward against the slow reference --------------------------
+
+@pytest.fixture(scope="module")
+def mixed_corpus():
+    # sizes from 1 to 34 nodes, so masking, top-k and MinCut see small and odd shapes
+    rng = np.random.default_rng(21)
+    graphs = []
+    for i, n in enumerate([1, 2, 3, 5, 8, 13, 21, 34, 4, 6, 9, 12, 15, 18]):
+        adj, feats = random_graph(rng, n, p=0.3, d=6)
+        graphs.append(Graph(adj, feats, i % 2))
+    return Dataset(graphs, 6, 2, "mixed")
+
+
+def _grads(loss, params):
+    for p in params.values():
+        p.zero_grad()
+    T.backward(loss)
+    return {k: None if p.grad is None else p.grad.copy() for k, p in params.items()}
+
+
+@pytest.mark.parametrize("backend", BACKEND_KINDS)
+def test_forward_matches_slow_reference_bit_for_bit(mixed_corpus, backend):
+    # threshold 1 makes MVP drop nodes in most graphs
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3, threshold_c=1.0))
+    model = tr.build_model(cfg, mixed_corpus, split(mixed_corpus, 0), seed=0)
+    params = model.named_parameters()
+    dropped = 0
+    for g in mixed_corpus.graphs:
+        logits, scores, indicator, ref_loss = forward_ref(model, g)
+        want = _grads(ref_loss, params)
+        res = tr.forward_graph(model, g)
+        loss, _ = tr.combined_loss(res, g.label)
+        got = _grads(loss, params)
+        assert np.array_equal(res.logits.values, logits.values)
+        assert np.array_equal(res.scores, scores)
+        assert np.array_equal(res.indicator, indicator)
+        assert loss.item() == ref_loss.item()
+        for name in params:
+            assert (got[name] is None) == (want[name] is None), name
+            assert want[name] is None or np.array_equal(got[name], want[name]), name
+        dropped += g.n - int(indicator.sum())
+    assert dropped > 0
+
+
+def test_evaluate_builds_no_reconstruction_loss(corpus, monkeypatch):
+    calls, real = [], tr.recon_losses
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tr, "recon_losses", counting)
+    model = tr.build_model(tr.TrainConfig.from_dict(dict(SMALL)), corpus, split(corpus, 0), 0)
+    tr.evaluate(model, corpus, range(len(corpus)))
+    assert calls == []
+    g = corpus.graphs[0]
+    tr.combined_loss(tr.forward_graph(model, g), g.label)
+    assert len(calls) == 1  # the training loss still builds it
+
+
+@pytest.mark.parametrize("backend", BACKEND_KINDS)
+def test_one_forward_normalizes_each_adjacency_once(corpus, monkeypatch, backend):
+    # the encoder shares one matrix across its views; a GCN backend adds one for A'
+    calls, real = [], mv.normalize_adjacency
+
+    def counting(adjacency):
+        calls.append(adjacency.shape)
+        return real(adjacency)
+
+    monkeypatch.setattr(mv, "normalize_adjacency", counting)
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3))
+    assert cfg.views == 4
+    model = tr.build_model(cfg, corpus, split(corpus, 0), seed=0)
+    tr.forward_graph(model, corpus.graphs[0])
+    assert len(calls) == (2 if backend in ("gcn-sum", "attention-topk", "mincut") else 1)
+
+
+# -- degenerate graphs -----------------------------------------------------
+
+def _degenerate_graphs(d):
+    rng = np.random.default_rng(8)
+    row = rng.normal(size=(1, d))
+    path = np.diag(np.ones(4), 1)
+    return {
+        "single-node": Graph(np.zeros((1, 1)), row, 0),
+        "edgeless": Graph(np.zeros((6, 6)), rng.normal(size=(6, d)), 1),
+        "identical-features": Graph(path + path.T, np.repeat(row, 5, axis=0), 0),
+        # edgeless with identical rows: every node gets the same score
+        "identical-scores": Graph(np.zeros((4, 4)), np.repeat(row, 4, axis=0), 1),
+    }
+
+
+@pytest.mark.parametrize("backend", BACKEND_KINDS)
+def test_degenerate_graphs_forward_and_train(corpus, backend):
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3))
+    model = tr.build_model(cfg, corpus, split(corpus, 0), seed=0)
+    params = model.named_parameters()
+    opt = tr.Adam(list(params.values()), cfg.learning_rate)
+    for name, g in _degenerate_graphs(corpus.d).items():
+        res = tr.forward_graph(model, g)
+        loss, parts = tr.combined_loss(res, g.label)
+        assert np.isfinite(loss.item()), (name, parts)
+        if name in ("single-node", "identical-scores"):
+            assert res.scores.std() == 0.0, name
+        if res.scores.std() == 0.0:
+            assert res.indicator.all(), name  # sigma = 0 keeps every node
+        opt.zero_grad()
+        T.backward(loss)
+        opt.step()
+        for key, p in params.items():
+            assert np.isfinite(p.values).all(), (name, key)
