@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, analysis, train as train_mod
+from . import __version__, analysis, tensor as T, train as train_mod
 from .errors import ConfigError, LoadError, MvpruneError
 from .graphio import load_tu, save_anomaly_truth, save_tu, split, synth_planted_anomalies
 from .pooling import BACKEND_KINDS
@@ -92,9 +92,11 @@ def _write_metrics(report, path: str):
 
 
 def _scores_and_keeps(model, dataset):
-    """Per graph: reconstruction scores (zeros without MVP) and the keep indicator."""
+    """Per graph: reconstruction scores (zeros without MVP) and the keep
+    indicator, from a grad-free forward."""
     for graph in dataset.graphs:
-        res = forward_graph(model, graph)
+        with T.no_grad():
+            res = forward_graph(model, graph)
         yield res.scores if res.scores is not None else np.zeros(graph.n), res.indicator
 
 

@@ -1,8 +1,12 @@
 """Reconstruction of A and X from the latent space, node scoring, and masking.
 
-Scores drive a hard keep/drop decision and are computed outside the tape; the
-indicator enters the training graph only as a constant mask, so gradients
-reach the encoder and decoders exclusively through the reconstruction losses.
+`A_hat = sigmoid(Z Z^T)` is one fused tape op (`tensor.gram_sigmoid`), and
+the reconstruction losses are one op each: the clipped edge BCE
+(`tensor.clipped_bce`) and the feature MSE (`tensor.mse`). Scores drive a
+hard keep/drop decision and are computed outside the tape from the values of
+A_hat and X_hat; the indicator enters the training graph only as a constant
+mask, so gradients reach the encoder and decoders exclusively through the
+reconstruction losses.
 """
 
 from __future__ import annotations
@@ -32,26 +36,23 @@ class ReconHead:
 
 def reconstruct(z: T.Tensor, head: ReconHead):
     """A_hat = sigmoid(Z Z^T) (symmetric by construction), X_hat = ReLU(Z W + b)."""
-    a_hat = T.sigmoid(T.matmul(z, T.transpose(z)))
+    a_hat = T.gram_sigmoid(z)
     x_hat = T.relu(T.add(T.matmul(z, head.weight), head.bias))
     return a_hat, x_hat
 
 
 def recon_losses(adjacency: np.ndarray, features: np.ndarray,
                  a_hat: T.Tensor, x_hat: T.Tensor):
-    """(La, Lx, Lr): mean edge NLL over the full n x n grid, mean squared
-    feature error, and their sum. All three stay on the tape."""
+    """(La, Lx, Lr): mean edge NLL over the full n x n grid (A_hat clipped to
+    [LOG_EPS, 1 - LOG_EPS]), mean squared feature error, and their sum. All
+    three stay on the tape."""
     n = adjacency.shape[0]
     d = features.shape[1]
     if a_hat.shape != (n, n) or x_hat.shape != (n, d):
         raise ContractError(
             f"reconstruction shapes {a_hat.shape}/{x_hat.shape} do not match graph ({n}, {d})")
-    a_c = T.clip(a_hat, LOG_EPS, 1.0 - LOG_EPS)
-    pos = T.mul_const(T.log(a_c), adjacency)
-    neg = T.mul_const(T.log(T.add_const(T.scale(a_c, -1.0), 1.0)), 1.0 - adjacency)
-    la = T.scale(T.tsum(T.add(pos, neg)), -1.0 / (n * n))
-    diff = T.add_const(T.scale(x_hat, -1.0), features)
-    lx = T.scale(T.tsum(T.mul(diff, diff)), 1.0 / (n * d))
+    la = T.clipped_bce(a_hat, adjacency, LOG_EPS)
+    lx = T.mse(x_hat, features)
     return la, lx, T.add(la, lx)
 
 
@@ -68,7 +69,9 @@ def node_scores(adjacency: np.ndarray, features: np.ndarray,
 def build_indicator(scores: np.ndarray, c: float = 2.0):
     """Keep node i iff score_i <= mu + c*sigma (population sigma); boundary keeps.
 
-    Equivalent to thresholding sigmoid(-s + mu + c*sigma) at 0.5.
+    Equivalent to thresholding sigmoid(-s + mu + c*sigma) at 0.5. Equal
+    scores keep every node: their rounded mean can land an ulp below them,
+    with sigma about 1e-16, which would drop them all for c < 1.
     """
     if not (math.isfinite(c) and c > 0):
         raise ConfigError(f"threshold multiplier c must be finite and > 0, got {c}")
@@ -79,6 +82,9 @@ def build_indicator(scores: np.ndarray, c: float = 2.0):
     sigma = float(scores.std())  # population
     indicator = (scores <= mu + c * sigma).astype(np.float64)
     dropped = int(scores.size - indicator.sum())
+    if dropped == scores.size and np.ptp(scores) == 0:  # equal scores drop or keep alike
+        indicator.fill(1.0)
+        dropped = 0
     # Chebyshev: no more than n/c^2 nodes can sit above mu + c*sigma
     if dropped > math.floor(scores.size / (c * c)):
         raise ContractError(

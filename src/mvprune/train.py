@@ -231,12 +231,14 @@ def combined_loss(result: ForwardResult, label: int, use_recon: bool = True):
 def evaluate(model: MvpModel, dataset: Dataset, indices,
              threshold_c: float | None = None) -> tuple[float, list[np.ndarray]]:
     """Accuracy over `indices` and each graph's keep indicator, from one
-    forward per graph (at `threshold_c` if given, else the configured one)."""
+    grad-free forward per graph (at `threshold_c` if given, else the
+    configured one)."""
     correct, indicators = 0, []
-    for i in indices:
-        res = forward_graph(model, dataset.graphs[i], threshold_c=threshold_c)
-        correct += int(np.argmax(res.logits.values) == dataset.graphs[i].label)
-        indicators.append(res.indicator)
+    with T.no_grad():
+        for i in indices:
+            res = forward_graph(model, dataset.graphs[i], threshold_c=threshold_c)
+            correct += int(np.argmax(res.logits.values) == dataset.graphs[i].label)
+            indicators.append(res.indicator)
     return (correct / len(indices) if len(indices) else 0.0), indicators
 
 

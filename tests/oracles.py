@@ -3,7 +3,9 @@
 Everything here is deliberately naive (loops, enumeration, finite
 differences) and shares no code with the library paths it checks. The one
 exception is `forward_ref`, the slower forward that the fast one replaced,
-kept as the reference the fast path must match bit for bit.
+kept as the reference the fast path must match bit for bit, together with the
+unfused tape forms of the fused ops (`gram_sigmoid_ref`, `recon_losses_ref`,
+`cross_entropy_ref`).
 """
 
 import itertools
@@ -174,12 +176,13 @@ def random_graph(rng, n, p=0.4, d=4):
     return adj, feats
 
 
-# -- the forward before one propagation matrix per call --------------------
+# -- the forward before one propagation matrix per call and the fused ops --
 #
 # Built from the tape primitives and the library helpers that the fast path
 # left unchanged: each view normalizes an explicit A + I, the backends
 # normalize inside every GCN call, the sigmoid takes three exps, and the
-# reconstruction losses are built inside the forward.
+# reconstruction losses and the cross-entropy are chains of one-step tape ops
+# (clip, log, exp, sigmoid below), built inside the forward.
 
 def normalize_adjacency_ref(adjacency):
     """D^-1/2 (A + I) D^-1/2 scaled from an explicit A + I."""
@@ -192,9 +195,47 @@ def _sigmoid_ref(a):
     x = a.values
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                  np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = T.Tensor(s, _parents=(a,))
-    out._backward = lambda g: T._accum(a, g * s * (1.0 - s))
-    return out
+    return T._op(s, (a,), lambda g: T._accum(a, g * s * (1.0 - s)))
+
+
+def _log_ref(a):
+    return T._op(np.log(a.values), (a,), lambda g: T._accum(a, g / a.values))
+
+
+def _exp_ref(a):
+    e = np.exp(a.values)
+    return T._op(e, (a,), lambda g: T._accum(a, g * e))
+
+
+def _clip_ref(a, lo, hi):
+    """Clamp values; gradient flows only strictly inside (lo, hi)."""
+    inside = (a.values > lo) & (a.values < hi)
+    return T._op(np.clip(a.values, lo, hi), (a,), lambda g: T._accum(a, g * inside))
+
+
+def gram_sigmoid_ref(z):
+    return _sigmoid_ref(T.matmul(z, T.transpose(z)))
+
+
+def recon_losses_ref(adjacency, features, a_hat, x_hat):
+    """(La, Lx, Lr) of `prune.recon_losses` as chains of one-step tape ops."""
+    n, d = features.shape
+    a_c = _clip_ref(a_hat, prune.LOG_EPS, 1.0 - prune.LOG_EPS)
+    pos = T.mul_const(_log_ref(a_c), adjacency)
+    neg = T.mul_const(_log_ref(T.add_const(T.scale(a_c, -1.0), 1.0)), 1.0 - adjacency)
+    la = T.scale(T.tsum(T.add(pos, neg)), -1.0 / (n * n))
+    diff = T.add_const(T.scale(x_hat, -1.0), features)
+    lx = T.scale(T.tsum(T.mul(diff, diff)), 1.0 / (n * d))
+    return la, lx, T.add(la, lx)
+
+
+def cross_entropy_ref(logits, label):
+    """`T.cross_entropy` as a chain of one-step tape ops."""
+    shift = float(logits.values.max())  # constant shift; softmax is invariant
+    z = T.add_const(logits, -shift)
+    lse = _log_ref(T.tsum(_exp_ref(z)))
+    picked = T.slice_cols(z, [label])
+    return T.add(lse, T.scale(picked, -1.0))
 
 
 def _gcn_ref(h, weight, adjacency, activation=T.relu):
@@ -230,15 +271,15 @@ def forward_ref(model, graph):
                 model.encoder.gcn_weights)
     z = T.concat_cols([_gcn_ref(T.matmul(T.slice_cols(x_t, cols), w_embed), w_gcn,
                                 graph.adjacency) for cols, w_embed, w_gcn in views])
-    a_hat = _sigmoid_ref(T.matmul(z, T.transpose(z)))
+    a_hat = gram_sigmoid_ref(z)
     x_hat = T.relu(T.add(T.matmul(z, model.recon.weight), model.recon.bias))
-    la, lx, _ = prune.recon_losses(graph.adjacency, x_std, a_hat, x_hat)
+    la, lx, _ = recon_losses_ref(graph.adjacency, x_std, a_hat, x_hat)
     scores = prune.node_scores(graph.adjacency, x_std, a_hat.values, x_hat.values, cfg.lam)
     indicator, _, _ = prune.build_indicator(scores, cfg.threshold_c)
     x_in, a_in = prune.apply_mask(x_std, graph.adjacency, indicator)
     h_g, l_pool = _backend_ref(model.backend, T.Tensor(x_in), a_in, indicator)
     logits = pooling.classify(h_g, model.classifier)
-    loss = T.add(T.add(T.cross_entropy(logits, graph.label), la), lx)
+    loss = T.add(T.add(cross_entropy_ref(logits, graph.label), la), lx)
     if l_pool is not None:
         loss = T.add(loss, l_pool)
     return logits, scores, indicator, loss

@@ -203,6 +203,19 @@ def test_export_scores(tmp_path, data_dir, run_dir):
     assert all(r["kept"] in ("0", "1") for r in rows)
 
 
+def test_export_scores_builds_no_tape(tmp_path, data_dir, run_dir, monkeypatch):
+    results, real = [], cli.forward_graph
+
+    def capturing(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "forward_graph", capturing)
+    assert cli.main(["export-scores", "--dataset", data_dir, "--run", run_dir,
+                     "--out", str(tmp_path / "scores.csv")]) == 0
+    assert results and all(r.logits._parents == () for r in results)
+
+
 def test_analyze_and_export_use_a_trained_seed(tmp_path, data_dir, monkeypatch):
     real = tr.train_one
 

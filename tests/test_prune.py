@@ -99,6 +99,15 @@ def test_indicator_keeps_boundary():
     assert indicator.sum() == 3
 
 
+def test_indicator_keeps_equal_scores_whose_mean_rounds_below_them():
+    # the mean of these ten copies is an ulp below them and sigma is 2.2e-16,
+    # so mu + 0.5 sigma used to sit below every score
+    scores = np.full(10, 1.5018711125190325)
+    for c in (0.5, 1.0, 2.0):
+        indicator, _, _ = prune.build_indicator(scores, c)
+        assert indicator.sum() == 10
+
+
 def test_indicator_matches_sigmoid_form():
     rng = np.random.default_rng(4)
     for _ in range(100):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mvprune import tensor as T
+from mvprune import prune, tensor as T
 from mvprune.errors import ContractError, ShapeError
 
-from oracles import finite_diff, rel_err
+from oracles import (cross_entropy_ref, finite_diff, gram_sigmoid_ref, recon_losses_ref,
+                     rel_err)
 
 
 def test_matmul_identity():
@@ -50,20 +52,20 @@ def test_relu_gradient():
     assert rel_err(p.grad, fd[0]) < 1e-6
 
 
-def test_sigmoid_values_and_saturation():
-    assert T.sigmoid(T.Tensor([[0.0]])).item() == 0.5
-    sat = T.sigmoid(T.Tensor([[1000.0, -1000.0]]))
+def test_gram_sigmoid_values_and_saturation():
+    assert T.gram_sigmoid(T.Tensor([[0.0]])).item() == 0.5
+    sat = T.gram_sigmoid(T.Tensor([[40.0], [-40.0]]))  # Z Z^T = +-1600
     assert np.isfinite(sat.values).all()
-    assert sat.values[0, 0] == 1.0
-    assert sat.values[0, 1] == 0.0
+    assert np.array_equal(sat.values, [[1.0, 0.0], [0.0, 1.0]])
 
 
-def test_sigmoid_gradient():
+def test_gram_sigmoid_gradient():
     rng = np.random.default_rng(2)
-    p = T.param(rng.normal(size=(3, 5)))
-    loss = T.tsum(T.sigmoid(p))
-    T.backward(loss)
-    fd = finite_diff(lambda: T.tsum(T.sigmoid(p)).item(), [p])
+    p = T.param(rng.normal(size=(5, 3)))
+    weights = rng.normal(size=(5, 5))  # non-uniform functional so both terms matter
+    f = lambda: T.tsum(T.mul_const(T.gram_sigmoid(p), weights))
+    T.backward(f())
+    fd = finite_diff(lambda: f().item(), [p])
     assert rel_err(p.grad, fd[0]) < 1e-6
 
 
@@ -134,17 +136,32 @@ def test_softmax_rows_gradient():
 def test_misc_elementwise_gradients():
     rng = np.random.default_rng(7)
     p = T.param(rng.uniform(0.5, 2.0, size=(3, 3)))
-    f = lambda: T.tsum(T.add(T.log(p), T.add(T.exp(T.scale(p, -1.0)),
-                                             T.mul(T.sqrt(p), T.tanh(p)))))
+    f = lambda: T.tsum(T.add(T.reciprocal(p), T.mul(T.sqrt(p), T.tanh(p))))
     T.backward(f())
     fd = finite_diff(lambda: f().item(), [p])
     assert rel_err(p.grad, fd[0]) < 1e-6
 
 
-def test_clip_blocks_gradient_outside_range():
-    p = T.param([[0.5, 2.0, -1.0]])
-    T.backward(T.tsum(T.clip(p, 0.0, 1.0)))
-    assert np.array_equal(p.grad, [[1.0, 0.0, 0.0]])
+def test_clipped_bce_blocks_gradient_outside_clip():
+    eps = 1e-3
+    p = T.param([[0.5, 0.2, 1e-4, 0.9999, 0.0, 1.0, eps]])
+    target = np.array([[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]])
+    T.backward(T.clipped_bce(p, target, eps))
+    assert (p.grad[0, 2:] == 0.0).all()  # clamped, the boundary included
+    assert (p.grad[0, :2] != 0.0).all()
+
+
+def test_clipped_bce_and_mse_gradients_vs_finite_differences():
+    rng = np.random.default_rng(9)
+    p = T.param(rng.uniform(0.05, 0.95, size=(4, 4)))
+    target = (rng.random((4, 4)) < 0.5) * rng.uniform(0.5, 2.0, size=(4, 4))  # weighted
+    x = T.param(rng.normal(size=(4, 3)))
+    feats = rng.normal(size=(4, 3))
+    f = lambda: T.add(T.clipped_bce(p, target, 1e-7), T.mse(x, feats))
+    T.backward(f())
+    fd = finite_diff(lambda: f().item(), [p, x])
+    assert rel_err(p.grad, fd[0]) < 1e-6
+    assert rel_err(x.grad, fd[1]) < 1e-6
 
 
 def test_cross_entropy_matches_log_softmax():
@@ -164,7 +181,130 @@ def test_forward_is_bitwise_deterministic():
     a = rng.normal(size=(6, 6))
     runs = []
     for _ in range(2):
-        t = T.Tensor(a)
-        out = T.sigmoid(T.matmul(t, T.transpose(t)))
+        out = T.gram_sigmoid(T.Tensor(a))
         runs.append(out.values.tobytes())
     assert runs[0] == runs[1]
+
+
+# -- what the tape records -------------------------------------------------
+
+def _ops_on(a, b, row):
+    """Every op applied to operands a (4x4), b (4x4) and row (1x4)."""
+    return [T.matmul(a, b), T.add(a, b), T.add(a, row), T.mul(a, b), T.mul_const(a, 2.0),
+            T.add_const(a, 1.0), T.scale(a, 3.0), T.relu(a), T.tanh(a), T.sqrt(T.mul(a, a)),
+            T.reciprocal(T.add_const(T.mul(a, a), 1.0)), T.transpose(a), T.tsum(a),
+            T.slice_cols(a, [1, 3]), T.concat_cols([a, b]), T.softmax_rows(a),
+            T.gram_sigmoid(a), T.clipped_bce(T.softmax_rows(a), np.eye(4), 1e-7),
+            T.mse(a, np.ones((4, 4))), T.cross_entropy(row, 2)]
+
+
+def test_ops_on_constants_record_no_parents():
+    rng = np.random.default_rng(10)
+    a, b, row = (T.Tensor(rng.normal(size=s)) for s in ((4, 4), (4, 4), (1, 4)))
+    for out in _ops_on(a, b, row):
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+
+
+def test_ops_on_a_parameter_join_the_tape():
+    rng = np.random.default_rng(11)
+    a, row = T.param(rng.normal(size=(4, 4))), T.param(rng.normal(size=(1, 4)))
+    b = T.Tensor(rng.normal(size=(4, 4)))
+    for out in _ops_on(a, b, row):
+        assert out.requires_grad and out._parents and out._backward is not None
+
+
+def test_constant_operand_gets_no_gradient():
+    rng = np.random.default_rng(12)
+    const = T.Tensor(rng.normal(size=(3, 4)))
+    derived = T.scale(const, 2.0)  # an op on a constant is a constant too
+    w = T.param(rng.normal(size=(4, 2)))
+    T.backward(T.add(T.tsum(T.matmul(const, w)), T.tsum(T.matmul(derived, w))))
+    assert const.grad is None and derived.grad is None
+    assert np.array_equal(w.grad, const.values.T @ np.ones((3, 2))
+                          + derived.values.T @ np.ones((3, 2)))
+
+
+def test_no_grad_records_nothing_and_restores_the_mode():
+    w = T.param(np.ones((2, 2)))
+    with T.no_grad():
+        out = T.relu(T.matmul(w, w))
+        with T.no_grad():
+            pass
+        assert not T.tanh(out).requires_grad  # the inner block restored "off"
+    assert not out.requires_grad and out._parents == ()
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("boom")
+    assert T.matmul(w, w).requires_grad
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40), d=st.integers(min_value=1, max_value=5),
+       seed=st.integers(min_value=0, max_value=2**32 - 1), weighted=st.booleans(),
+       z_scale=st.sampled_from([0.3, 1.0, 8.0]))
+def test_fused_recon_ops_match_tape_oracles_bit_for_bit(n, d, seed, weighted, z_scale):
+    # z_scale 8 makes most |Z Z^T| > 20: sigmoid saturates and the clip blocks the gradient
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < 0.3, 1).astype(float)
+    adj += adj.T
+    if weighted:
+        adj *= rng.uniform(0.1, 3.0, size=(n, n))
+    feats = rng.normal(size=(n, d))
+    zv, xv = rng.normal(scale=z_scale, size=(n, 3)), rng.normal(size=(n, d))
+    weights = rng.normal(size=(n, n))
+
+    def run(gram_sigmoid, losses):
+        z, x_hat = T.param(zv.copy()), T.param(xv.copy())
+        a_hat = gram_sigmoid(z)
+        la, lx, lr = losses(adj, feats, a_hat, x_hat)
+        T.backward(T.scale(lr, 0.3))  # an upstream gradient other than 1
+        z2 = T.param(zv.copy())
+        T.backward(T.tsum(T.mul_const(gram_sigmoid(z2), weights)))
+        return [a_hat.values, la.values, lx.values, lr.values, z.grad, x_hat.grad, z2.grad]
+
+    got = run(T.gram_sigmoid, prune.recon_losses)
+    want = run(gram_sigmoid_ref, recon_losses_ref)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       weighted=st.booleans())
+def test_clipped_bce_matches_tape_oracle_at_the_clip_bit_for_bit(n, seed, weighted):
+    rng = np.random.default_rng(seed)
+    adj = (rng.random((n, n)) < 0.4).astype(float)
+    if weighted:
+        adj *= rng.uniform(0.1, 3.0, size=(n, n))
+    eps = prune.LOG_EPS
+    choices = np.array([0.0, 1.0, eps, 1.0 - eps, eps / 2, 1.0 - eps / 2, 0.5])
+    pv = np.where(rng.random((n, n)) < 0.5, rng.uniform(size=(n, n)),
+                  choices[rng.integers(0, len(choices), size=(n, n))])
+    feats = np.zeros((n, 1))
+
+    def run(losses):
+        p = T.param(pv.copy())
+        la = losses(adj, feats, p, T.Tensor(feats))[0]
+        T.backward(T.scale(la, 0.3))
+        return la.values, p.grad
+
+    for g, w in zip(run(prune.recon_losses), run(recon_losses_ref)):
+        assert np.array_equal(g, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       scale=st.sampled_from([0.1, 1.0, 30.0, 800.0]))
+def test_cross_entropy_matches_tape_oracle_bit_for_bit(c, seed, scale):
+    rng = np.random.default_rng(seed)
+    values, label = rng.normal(scale=scale, size=(1, c)), int(rng.integers(c))
+
+    def run(ce):
+        logits = T.param(values.copy())
+        loss = ce(logits, label)
+        T.backward(T.scale(loss, 0.3))
+        return loss.values, logits.grad
+
+    for g, w in zip(run(T.cross_entropy), run(cross_entropy_ref)):
+        assert np.array_equal(g, w)

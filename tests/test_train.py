@@ -375,6 +375,43 @@ def test_evaluate_builds_no_reconstruction_loss(corpus, monkeypatch):
     assert len(calls) == 1  # the training loss still builds it
 
 
+def test_evaluate_builds_no_tape(corpus, monkeypatch):
+    results, real = [], tr.forward_graph
+
+    def capturing(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(tr, "forward_graph", capturing)
+    model = tr.build_model(tr.TrainConfig.from_dict(dict(SMALL)), corpus, split(corpus, 0), 0)
+    tr.evaluate(model, corpus, range(len(corpus)))
+    assert len(results) == len(corpus)
+    assert all(r.logits._parents == () and not r.logits.requires_grad for r in results)
+    assert tr.forward_graph(model, corpus.graphs[0]).logits._parents  # training still records
+
+
+def _tape_size(loss):
+    seen, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def test_joint_step_tape_budget():
+    # acceptance config: recording every op on constants made this tape 78 nodes
+    ds, _ = synth_planted_anomalies(20, 20, 0.15, seed=7)
+    cfg = tr.TrainConfig.from_dict(dict(epochs=30, pretrain_epochs=10, views=4, latent_width=32,
+                                        learning_rate=2e-3, batch_size=32, seeds=(0,)))
+    model = tr.build_model(cfg, ds, split(ds, 0), seed=0)
+    g = ds.graphs[0]
+    loss, _ = tr.combined_loss(tr.forward_graph(model, g), g.label)
+    assert _tape_size(loss) <= 55
+    assert len(T._toposort(loss)) <= _tape_size(loss)  # backward skips constant leaves
+
+
 @pytest.mark.parametrize("backend", BACKEND_KINDS)
 def test_one_forward_normalizes_each_adjacency_once(corpus, monkeypatch, backend):
     # the encoder shares one matrix across its views; a GCN backend adds one for A'
@@ -426,3 +463,15 @@ def test_degenerate_graphs_forward_and_train(corpus, backend):
         opt.step()
         for key, p in params.items():
             assert np.isfinite(p.values).all(), (name, key)
+
+
+@pytest.mark.parametrize("backend", BACKEND_KINDS)
+def test_equal_scores_keep_every_node_below_one_sigma(corpus, backend):
+    # edgeless with identical rows: all ten scores are equal, and their rounded
+    # mean lands an ulp below them, which used to drop every node at c = 0.5
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3, threshold_c=0.5))
+    model = tr.build_model(cfg, corpus, split(corpus, 0), seed=0)
+    row = np.random.default_rng(1).normal(size=(1, corpus.d))
+    res = tr.forward_graph(model, Graph(np.zeros((10, 10)), np.repeat(row, 10, axis=0), 0))
+    assert res.scores.std() > 0.0  # not exactly 0: the rounding this guards against
+    assert res.indicator.all()
