@@ -7,14 +7,15 @@ from .graphio import Dataset, Graph, SplitSpec, load_tu, save_tu, split, synth_p
 from .multiview import (ViewEncoder, ViewPartition, encode_views_xa, make_partition,
                         normalize_adjacency)
 from .prune import ReconHead, apply_mask, build_indicator, node_scores, reconstruct
-from .train import MvpModel, TrainConfig, TrialReport, forward_graph, run_trials, train_one
+from .train import (MvpModel, TrainConfig, TrialReport, forward_batch, forward_graph,
+                    run_trials, train_one)
 
 __all__ = [
     "Dataset", "Graph", "SplitSpec", "load_tu", "save_tu", "split",
     "synth_planted_anomalies", "ViewEncoder", "ViewPartition", "encode_views_xa",
     "make_partition", "normalize_adjacency", "ReconHead",
     "apply_mask", "build_indicator", "node_scores", "reconstruct",
-    "MvpModel", "TrainConfig", "TrialReport", "forward_graph", "run_trials",
+    "MvpModel", "TrainConfig", "TrialReport", "forward_batch", "forward_graph", "run_trials",
     "train_one", "__version__",
 ]
 

@@ -190,8 +190,9 @@ def threshold_sweep(dataset: Dataset, config, multipliers=DEFAULT_MULTIPLIERS,
     sp = split(dataset, seed)
     model, _ = train_mod.train_one(config, dataset, sp, seed)
     for cfg in configs:
-        accuracy, indicators = train_mod.evaluate(model, dataset, sp.test, cfg.threshold_c)
-        stats = train_mod.pruning_stats(dataset, sp.test, indicators)
+        accuracy, indicators, selections = train_mod.evaluate(model, dataset, sp.test,
+                                                              cfg.threshold_c)
+        stats = train_mod.pruning_stats(dataset, sp.test, indicators, selections)
         points.append(SweepPoint(cfg.threshold_c, accuracy, stats["fraction_pruned"]))
     return points
 

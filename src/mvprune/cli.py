@@ -86,7 +86,8 @@ def _write_manifest(out: str, config: TrainConfig, dataset, dataset_path: str,
 
 def _write_metrics(report, path: str):
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["seed", "accuracy", "pruned_fraction"])
+        writer = csv.DictWriter(fh, fieldnames=["seed", "accuracy", "pruned_fraction",
+                                                "readout_dropped_fraction"])
         writer.writeheader()
         writer.writerows(report.metrics_rows())
 

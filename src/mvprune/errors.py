@@ -30,4 +30,13 @@ class SplitError(MvpruneError):
 
 
 class TrainingDiverged(MvpruneError):
-    """A loss became non-finite during optimization."""
+    """A loss became non-finite during optimization: at `seed` and `epoch`, on
+    dataset graph `graph`, whose loss terms were `parts`."""
+
+    def __init__(self, seed: int, epoch: int, graph: int, parts: dict):
+        self.seed, self.epoch, self.graph, self.parts = seed, epoch, graph, dict(parts)
+        super().__init__(f"non-finite loss at seed {seed}, epoch {epoch}, graph {graph}: "
+                         f"{self.parts}")
+
+    def __reduce__(self):
+        return type(self), (self.seed, self.epoch, self.graph, self.parts)

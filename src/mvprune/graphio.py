@@ -73,11 +73,19 @@ class SplitSpec:
 
 # -- TU flat files ---------------------------------------------------------
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str):
+    """The stripped non-empty lines of a file that must exist, read lazily."""
     if not os.path.isfile(path):
         raise LoadError(f"missing dataset file: {path}")
-    with open(path) as fh:
-        return [ln.strip() for ln in fh if ln.strip()]
+
+    def lines():
+        with open(path) as fh:
+            for ln in fh:
+                ln = ln.strip()
+                if ln:
+                    yield ln
+
+    return lines()
 
 
 def load_tu(directory: str, name: str) -> Dataset:
@@ -115,7 +123,7 @@ def load_tu(directory: str, name: str) -> Dataset:
         if counts[gid] == 0:
             raise FormatError(f"graph {gid} has no nodes in {name}_graph_indicator.txt")
 
-    edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(n_graphs)]
+    adjacencies = [np.zeros((int(n), int(n))) for n in counts[1:]]
     for lineno, ln in enumerate(edge_lines, start=1):
         try:
             u_s, v_s = ln.split(",")
@@ -130,8 +138,8 @@ def load_tu(directory: str, name: str) -> Dataset:
                 f"{name}_A.txt line {lineno}: edge ({u},{v}) crosses graphs {gu} and {gv}")
         if u == v:
             continue  # TU files should not carry self-loops; drop defensively
-        a, b = sorted((int(local[u - 1]), int(local[v - 1])))
-        edge_sets[gu - 1].add((a, b))
+        a, b = local[u - 1], local[v - 1]
+        adjacencies[gu - 1][a, b] = adjacencies[gu - 1][b, a] = 1.0  # duplicates land alike
 
     # features: one-hot node labels first, then raw attributes
     blocks = []
@@ -145,15 +153,22 @@ def load_tu(directory: str, name: str) -> Dataset:
         onehot[np.arange(n_total), [lookup[v] for v in raw]] = 1.0
         blocks.append(onehot)
     if has_attrs:
-        rows = []
-        for lineno, ln in enumerate(_read_lines(node_attr_path), start=1):
+        attrs, lines = None, 0
+        for lines, ln in enumerate(_read_lines(node_attr_path), start=1):
             try:
-                rows.append([float(v) for v in ln.split(",")])
+                row = [float(v) for v in ln.split(",")]
             except ValueError as exc:
-                raise FormatError(f"{name}_node_attributes.txt line {lineno}: bad value") from exc
-        if len(rows) != n_total:
-            raise FormatError(f"{name}_node_attributes.txt: {len(rows)} lines for {n_total} nodes")
-        blocks.append(np.asarray(rows))
+                raise FormatError(f"{name}_node_attributes.txt line {lines}: bad value") from exc
+            if attrs is None:
+                attrs = np.empty((n_total, len(row)))  # filled row by row as lines are read
+            if len(row) != attrs.shape[1]:
+                raise FormatError(f"{name}_node_attributes.txt line {lines}: {len(row)} values, "
+                                  f"expected {attrs.shape[1]}")
+            if lines <= n_total:
+                attrs[lines - 1] = row
+        if lines != n_total:
+            raise FormatError(f"{name}_node_attributes.txt: {lines} lines for {n_total} nodes")
+        blocks.append(attrs)
     features_all = np.concatenate(blocks, axis=1)
 
     label_values = sorted(set(graph_labels_raw))
@@ -164,12 +179,8 @@ def load_tu(directory: str, name: str) -> Dataset:
     for i, gid in enumerate(indicator):
         node_rows[gid - 1].append(i)
     for gi in range(n_graphs):
-        n = counts[gi + 1]
-        adj = np.zeros((n, n))
-        for a, b in edge_sets[gi]:
-            adj[a, b] = adj[b, a] = 1.0
         feats = features_all[node_rows[gi], :]
-        graphs.append(Graph(adj, feats, label_map[graph_labels_raw[gi]]))
+        graphs.append(Graph(adjacencies[gi], feats, label_map[graph_labels_raw[gi]]))
 
     return Dataset(graphs, features_all.shape[1], len(label_values), name)
 

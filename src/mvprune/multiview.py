@@ -88,35 +88,44 @@ class ViewEncoder:
 def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     """D^{-1/2} (A + I) D^{-1/2} with degrees from A + I; the I goes on the diagonal.
 
-    Constant with respect to training, so it enters the tape as a constant.
+    `adjacency` is one n x n matrix or a (b, n, n) stack of them. Constant with
+    respect to training, so it enters the tape as a constant.
     """
-    inv_sqrt = 1.0 / np.sqrt(adjacency.sum(axis=1) + 1.0)
-    prop = inv_sqrt[:, None] * adjacency
-    prop *= inv_sqrt[None, :]
-    prop.flat[::prop.shape[0] + 1] += inv_sqrt * inv_sqrt
+    n = adjacency.shape[-1]
+    inv_sqrt = 1.0 / np.sqrt(adjacency.sum(axis=-1) + 1.0)
+    prop = inv_sqrt[..., :, None] * adjacency
+    prop *= inv_sqrt[..., None, :]
+    diagonal = prop.reshape(prop.shape[:-2] + (n * n,))[..., ::n + 1]
+    diagonal += inv_sqrt * inv_sqrt
     return prop
 
 
+def propagation(adjacency: np.ndarray, layout: T.Layout | None = None) -> np.ndarray:
+    """`normalize_adjacency` of each graph's block, shaped like `adjacency`:
+    n x n without a layout, else flat (see `tensor.Layout`)."""
+    return T.join([normalize_adjacency(a) for a in T.stacks(layout, adjacency, pairwise=True)]
+                  ).reshape(adjacency.shape)
+
+
 def gcn_layer(h: T.Tensor, weight: T.Tensor, propagation: np.ndarray,
-              activation=T.relu) -> T.Tensor:
-    """One graph convolution: act(P @ h @ weight), P = normalize_adjacency(A)."""
-    prop = T.matmul(T.Tensor(propagation), T.matmul(h, weight))
+              activation=T.relu, layout: T.Layout | None = None) -> T.Tensor:
+    """One graph convolution per graph: act(P @ h @ weight), P from `propagation`."""
+    prop = T.propagate(propagation, T.matmul(h, weight, layout), layout)
     return activation(prop) if activation is not None else prop
 
 
 def encode_views_xa(x: np.ndarray, adjacency: np.ndarray, partition: ViewPartition,
-                    encoder: ViewEncoder) -> T.Tensor:
-    """Latent matrix Z: column-concatenation of the per-view GCN outputs."""
+                    encoder: ViewEncoder, layout: T.Layout | None = None) -> T.Tensor:
+    """Latent matrix Z: column-concatenation of the per-view GCN outputs, each
+    a bias-free linear embedding of the view's columns followed by one graph
+    convolution with ReLU. With a layout, `x` stacks a batch's nodes and
+    `adjacency` holds its blocks flat."""
     if len(partition.columns_per_view) != len(encoder.embed_weights):
         raise ContractError("partition and encoder view counts differ")
-    x_t = T.Tensor(x)
-    propagation = normalize_adjacency(adjacency)  # shared by every view
-    parts = []
-    for cols, w_embed, w_gcn in zip(partition.columns_per_view,
-                                    encoder.embed_weights, encoder.gcn_weights):
+    for cols, w_embed in zip(partition.columns_per_view, encoder.embed_weights):
         if len(cols) != w_embed.rows:
             raise ContractError(
                 f"view expects {w_embed.rows} columns, partition provides {len(cols)}")
-        embedded = T.matmul(T.slice_cols(x_t, cols), w_embed)  # linear, no activation
-        parts.append(gcn_layer(embedded, w_gcn, propagation))
-    return T.concat_cols(parts)
+    return T.gcn_views(x, partition.columns_per_view, encoder.embed_weights,
+                       encoder.gcn_weights, propagation(adjacency, layout),  # one for every view
+                       layout)

@@ -21,24 +21,30 @@ BACKEND_KINDS = ("mean", "sum", "gcn-sum", "attention-topk", "feature-topk", "mi
 
 # -- readouts --------------------------------------------------------------
 
-def masked_mean_readout(x_prime: T.Tensor, indicator: np.ndarray) -> T.Tensor:
-    """Mean over kept rows only; the denominator is the kept count, not n."""
+def masked_mean_readout(x_prime: T.Tensor, indicator: np.ndarray,
+                        layout: T.Layout | None = None) -> T.Tensor:
+    """Mean over each graph's kept rows only; the denominator is the kept
+    count, not n. One row per graph."""
     ind = np.asarray(indicator, dtype=np.float64)
-    kept = ind.sum()
-    if kept < 1:
+    kept = T.graph_sums(ind, layout)
+    if kept.min() < 1:
         raise ContractError("mean readout needs at least one kept node")
-    return T.matmul(T.Tensor((ind / kept)[None, :]), x_prime)
+    spread = kept if layout is None else np.repeat(kept, layout.sizes)
+    return T.transpose_matmul(T.Tensor((ind / spread)[:, None]), x_prime, layout)
 
 
-def masked_sum_readout(x_prime: T.Tensor, indicator: np.ndarray) -> T.Tensor:
+def masked_sum_readout(x_prime: T.Tensor, indicator: np.ndarray,
+                       layout: T.Layout | None = None) -> T.Tensor:
     ind = np.asarray(indicator, dtype=np.float64)
-    return T.matmul(T.Tensor(ind[None, :]), x_prime)
+    return T.transpose_matmul(T.Tensor(ind[:, None]), x_prime, layout)
 
 
 # -- top-k pruning pools ---------------------------------------------------
 
-def select_topk(scores: np.ndarray, keep_ratio: float, eligible: np.ndarray | None = None):
-    """Top ceil(keep_ratio * n_eligible) node mask; ties go to the lower index."""
+def select_topk(scores: np.ndarray, keep_ratio: float, eligible: np.ndarray | None = None,
+                layout: T.Layout | None = None):
+    """Each graph's top ceil(keep_ratio * n_eligible) node mask; ties go to the
+    lower index."""
     if not 0.0 < keep_ratio <= 1.0:
         raise ConfigError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
     n = scores.shape[0]
@@ -48,68 +54,79 @@ def select_topk(scores: np.ndarray, keep_ratio: float, eligible: np.ndarray | No
     else:
         eligible = np.asarray(eligible) > 0
         masked[~eligible] = -np.inf
-    n_keep = math.ceil(keep_ratio * int(eligible.sum()))
-    order = np.lexsort((np.arange(n), -masked))  # score desc, then index asc
     sel = np.zeros(n)
-    sel[order[:n_keep]] = 1.0
+    for m, e, out in zip(T.stacks(layout, masked), T.stacks(layout, eligible),
+                         T.stacks(layout, sel)):  # one graph, or (b, n) of a group
+        n_keep = np.ceil(keep_ratio * e.sum(axis=-1))
+        # a stable sort of the negated scores: score desc, then index asc
+        order = np.argsort(-m, axis=-1, kind="stable")
+        kept = (np.arange(m.shape[-1]) < n_keep[..., None]).astype(np.float64)
+        np.put_along_axis(out, order, kept, axis=-1)
     return sel
 
 
 def attention_topk_pool(x: T.Tensor, adjacency: np.ndarray, keep_ratio: float,
-                        score_weight: T.Tensor, eligible: np.ndarray | None = None):
+                        score_weight: T.Tensor, eligible: np.ndarray | None = None,
+                        layout: T.Layout | None = None):
     """Self-attention pruning: a 1-output GCN scores nodes, the top fraction
     survives, and kept features are gated by tanh(score) so the score weight
     receives gradient. Returns (gated kept features, selection)."""
-    score = gcn_layer(x, score_weight, multiview.normalize_adjacency(adjacency), activation=None)
-    sel = select_topk(score.values[:, 0], keep_ratio, eligible)
+    score = gcn_layer(x, score_weight, multiview.propagation(adjacency, layout),
+                      activation=None, layout=layout)
+    sel = select_topk(score.values[:, 0], keep_ratio, eligible, layout)
     gate = T.matmul(T.tanh(score), T.Tensor(np.ones((1, x.cols))))
     return T.mul_const(T.mul(x, gate), sel[:, None]), sel
 
 
 def feature_topk_pool(x: T.Tensor, keep_ratio: float, projection: T.Tensor,
-                      eligible: np.ndarray | None = None):
+                      eligible: np.ndarray | None = None, layout: T.Layout | None = None):
     """TopK-style pruning: score = X p / ||p||, gated by tanh. Returns
     (gated kept features, selection)."""
     p_norm = T.sqrt(T.tsum(T.mul(projection, projection)))
-    score = T.mul(T.matmul(x, projection), T.reciprocal(p_norm))  # n x 1
-    sel = select_topk(score.values[:, 0], keep_ratio, eligible)
+    score = T.mul(T.matmul(x, projection, layout), T.reciprocal(p_norm))  # n x 1
+    sel = select_topk(score.values[:, 0], keep_ratio, eligible, layout)
     gate = T.matmul(T.tanh(score), T.Tensor(np.ones((1, x.cols))))
     return T.mul_const(T.mul(x, gate), sel[:, None]), sel
 
 
 # -- mincut pooling --------------------------------------------------------
 
-def mincut_pool(h: T.Tensor, adjacency: np.ndarray,
-                assign_w: T.Tensor, assign_b: T.Tensor):
-    """Soft spectral clustering of node embeddings h.
+def mincut_pool(h: T.Tensor, adjacency: np.ndarray, assign_w: T.Tensor, assign_b: T.Tensor,
+                layout: T.Layout | None = None):
+    """Soft spectral clustering of each graph's node embeddings h.
 
-    Returns the coarse features S^T h and the auxiliary loss: cut term
-    -tr(S^T A S)/tr(S^T D S) (0 for edgeless graphs) plus orthogonality
-    ||S^T S / ||S^T S||_F - I/sqrt(K)||_F.
+    Returns the coarse features S^T h (K rows per graph) and the auxiliary
+    loss per graph: cut term -tr(S^T A S)/tr(S^T D S) (0 for edgeless graphs)
+    plus orthogonality ||S^T S / ||S^T S||_F - I/sqrt(K)||_F.
     """
     k = assign_w.cols
     if k < 2:
         raise ConfigError(f"mincut needs at least 2 clusters, got {k}")
-    s = T.softmax_rows(T.add(T.matmul(h, assign_w), assign_b))
-    st = T.transpose(s)
-    x_coarse = T.matmul(st, h)
-    a_s = T.matmul(T.Tensor(adjacency), s)
+    s = T.softmax_rows(T.add(T.matmul(h, assign_w, layout), assign_b))
+    x_coarse = T.transpose_matmul(s, h, layout)
+    a_s = T.propagate(adjacency, s, layout)
 
-    deg = adjacency.sum(axis=1)
-    if deg.sum() > 0:
-        num = T.tsum(T.mul(s, a_s))
-        den = T.tsum(T.mul_const(T.mul(s, s), deg[:, None]))
-        cut = T.scale(T.mul(num, T.reciprocal(den)), -1.0)
-    else:
-        cut = T.Tensor(np.zeros((1, 1)))
+    deg = T.join([a.sum(axis=-1) for a in T.stacks(layout, adjacency, pairwise=True)])
+    edges = (T.graph_sums(deg, layout) > 0).astype(np.float64)[:, None]
+    num = T.tsum(T.mul(s, a_s), layout)
+    den = T.tsum(T.mul_const(T.mul(s, s), deg[:, None]), layout)
+    # an edgeless graph's 0/0 becomes 0/1: its cut term and gradients are 0
+    ratio = T.mul(num, T.reciprocal(T.add_const(den, 1.0 - edges)))
+    cut = T.scale(ratio, -1.0)
 
-    ss = T.matmul(st, s)
-    fro = T.sqrt(T.tsum(T.mul(ss, ss)))
-    normed = T.mul(ss, T.reciprocal(fro))
-    resid = T.add_const(normed, -np.eye(k) / math.sqrt(k))
-    ortho = T.sqrt(T.tsum(T.mul(resid, resid)))
+    clusters = _clusters(layout, k)
+    ss = T.transpose_matmul(s, s, layout)
+    fro = T.sqrt(T.tsum(T.mul(ss, ss), clusters))
+    normed = T.scale_graphs(ss, T.reciprocal(fro), clusters)
+    resid = T.add_const(normed, np.tile(-np.eye(k) / math.sqrt(k), (ss.rows // k, 1)))
+    ortho = T.sqrt(T.tsum(T.mul(resid, resid), clusters))
 
     return x_coarse, T.add(cut, ortho)
+
+
+def _clusters(layout: T.Layout | None, k: int) -> T.Layout | None:
+    """The layout of S^T h: k rows per graph."""
+    return None if layout is None else T.Layout((k,) * layout.graphs)
 
 
 # -- backends --------------------------------------------------------------
@@ -124,34 +141,39 @@ class PoolBackend:
     def parameters(self):
         return list(self.params.values())
 
-    def forward(self, x_prime: T.Tensor, a_prime: np.ndarray, indicator: np.ndarray):
-        """Returns (h_G, l_pool, selection); l_pool is None for readout kinds.
+    def forward(self, x_prime: T.Tensor, a_prime: np.ndarray, indicator: np.ndarray,
+                layout: T.Layout | None = None):
+        """Returns (h_G, l_pool, selection): one row of h_G and of l_pool per
+        graph (see `tensor.Layout`; one graph without a layout), l_pool None
+        for readout kinds.
 
         `selection` is the keep-mask that reaches the readout: the top-k
         kinds' own selection within `indicator`, else `indicator` itself.
         """
         if self.kind == "mean":
-            return masked_mean_readout(x_prime, indicator), None, indicator
+            return masked_mean_readout(x_prime, indicator, layout), None, indicator
         if self.kind == "sum":
-            return masked_sum_readout(x_prime, indicator), None, indicator
+            return masked_sum_readout(x_prime, indicator, layout), None, indicator
         if self.kind == "gcn-sum":
-            h = gcn_layer(x_prime, self.params["w"], multiview.normalize_adjacency(a_prime))
-            return masked_sum_readout(h, indicator), None, indicator
+            h = gcn_layer(x_prime, self.params["w"], multiview.propagation(a_prime, layout),
+                          layout=layout)
+            return masked_sum_readout(h, indicator, layout), None, indicator
         if self.kind == "attention-topk":
             x_kept, sel = attention_topk_pool(
-                x_prime, a_prime, self.keep_ratio, self.params["score_w"], indicator)
-            return masked_mean_readout(x_kept, sel), None, sel
+                x_prime, a_prime, self.keep_ratio, self.params["score_w"], indicator, layout)
+            return masked_mean_readout(x_kept, sel, layout), None, sel
         if self.kind == "feature-topk":
             x_kept, sel = feature_topk_pool(
-                x_prime, self.keep_ratio, self.params["proj"], indicator)
-            return masked_mean_readout(x_kept, sel), None, sel
+                x_prime, self.keep_ratio, self.params["proj"], indicator, layout)
+            return masked_mean_readout(x_kept, sel, layout), None, sel
         if self.kind == "mincut":
-            h = gcn_layer(x_prime, self.params["gcn_w"], multiview.normalize_adjacency(a_prime))
+            h = gcn_layer(x_prime, self.params["gcn_w"], multiview.propagation(a_prime, layout),
+                          layout=layout)
             x_coarse, l_pool = mincut_pool(h, a_prime, self.params["assign_w"],
-                                           self.params["assign_b"])
+                                           self.params["assign_b"], layout)
             k = self.params["assign_w"].cols
-            h_g = T.matmul(T.Tensor(np.full((1, k), 1.0 / k)), x_coarse)
-            return h_g, l_pool, indicator
+            mean = T.Tensor(np.full((x_coarse.rows, 1), 1.0 / k))
+            return T.transpose_matmul(mean, x_coarse, _clusters(layout, k)), l_pool, indicator
         raise ConfigError(f"unknown backend kind '{self.kind}'; valid: {BACKEND_KINDS}")
 
 
@@ -195,7 +217,9 @@ class ClassifierHead:
 
 
 def classify(h_g: T.Tensor, head: ClassifierHead) -> T.Tensor:
+    """Logits, one row per graph; each row is computed on its own (see `tensor.Layout`)."""
     if h_g.cols != head.w1.rows:
         raise ContractError(f"classifier expects width {head.w1.rows}, got {h_g.cols}")
-    hidden = T.relu(T.add(T.matmul(h_g, head.w1), head.b1))
-    return T.add(T.matmul(hidden, head.w2), head.b2)
+    rows = T.Layout((1,) * h_g.rows) if h_g.rows > 1 else None
+    hidden = T.relu(T.add(T.matmul(h_g, head.w1, rows), head.b1))
+    return T.add(T.matmul(hidden, head.w2, rows), head.b2)

@@ -34,40 +34,44 @@ class ReconHead:
                    T.param(np.zeros((1, d))))
 
 
-def reconstruct(z: T.Tensor, head: ReconHead):
-    """A_hat = sigmoid(Z Z^T) (symmetric by construction), X_hat = ReLU(Z W + b)."""
-    a_hat = T.gram_sigmoid(z)
-    x_hat = T.relu(T.add(T.matmul(z, head.weight), head.bias))
+def reconstruct(z: T.Tensor, head: ReconHead, layout: T.Layout | None = None):
+    """A_hat = sigmoid(Z Z^T) (symmetric by construction), X_hat = ReLU(Z W + b).
+    With a layout, A_hat holds each graph's block flat (see `tensor.Layout`)."""
+    a_hat = T.gram_sigmoid(z, layout)
+    x_hat = T.relu(T.add(T.matmul(z, head.weight, layout), head.bias))
     return a_hat, x_hat
 
 
 def recon_losses(adjacency: np.ndarray, features: np.ndarray,
-                 a_hat: T.Tensor, x_hat: T.Tensor):
+                 a_hat: T.Tensor, x_hat: T.Tensor, layout: T.Layout | None = None):
     """(La, Lx, Lr): mean edge NLL over the full n x n grid (A_hat clipped to
-    [LOG_EPS, 1 - LOG_EPS]), mean squared feature error, and their sum. All
-    three stay on the tape."""
-    n = adjacency.shape[0]
-    d = features.shape[1]
-    if a_hat.shape != (n, n) or x_hat.shape != (n, d):
+    [LOG_EPS, 1 - LOG_EPS]), mean squared feature error, and their sum, each
+    1x1, or with a layout one row per graph. All three stay on the tape."""
+    if a_hat.values.size != adjacency.size or x_hat.shape != features.shape:
         raise ContractError(
-            f"reconstruction shapes {a_hat.shape}/{x_hat.shape} do not match graph ({n}, {d})")
-    la = T.clipped_bce(a_hat, adjacency, LOG_EPS)
-    lx = T.mse(x_hat, features)
+            f"reconstruction shapes {a_hat.shape}/{x_hat.shape} do not match "
+            f"graph {adjacency.shape}/{features.shape}")
+    la = T.clipped_bce(a_hat, adjacency, LOG_EPS, layout)
+    lx = T.mse(x_hat, features, layout)
     return la, lx, T.add(la, lx)
 
 
-def node_scores(adjacency: np.ndarray, features: np.ndarray,
-                a_hat: np.ndarray, x_hat: np.ndarray, lam: float = 0.5) -> np.ndarray:
-    """Per-node blend of squared adjacency-row and feature-row residuals."""
+def node_scores(adjacency: np.ndarray, features: np.ndarray, a_hat: np.ndarray,
+                x_hat: np.ndarray, lam: float = 0.5, layout: T.Layout | None = None) -> np.ndarray:
+    """Per-node blend of squared adjacency-row and feature-row residuals. With a
+    layout, `adjacency` and `a_hat` hold each graph's block flat."""
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda must be in [0, 1], got {lam}")
-    adj_err = ((adjacency - a_hat) ** 2).sum(axis=1)
+    adj_err = T.join([((a - p) ** 2).sum(axis=-1) for a, p in
+                      zip(T.stacks(layout, adjacency, True), T.stacks(layout, a_hat, True))])
     feat_err = ((features - x_hat) ** 2).sum(axis=1)
     return lam * adj_err + (1.0 - lam) * feat_err
 
 
-def build_indicator(scores: np.ndarray, c: float = 2.0):
-    """Keep node i iff score_i <= mu + c*sigma (population sigma); boundary keeps.
+def build_indicator(scores: np.ndarray, c: float = 2.0, layout: T.Layout | None = None):
+    """Keep node i iff score_i <= mu + c*sigma (population sigma) of its graph;
+    boundary keeps. Returns the indicator and mu and sigma: floats for one
+    graph, one entry per graph with a layout.
 
     Equivalent to thresholding sigmoid(-s + mu + c*sigma) at 0.5. Equal
     scores keep every node: their rounded mean can land an ulp below them,
@@ -78,32 +82,44 @@ def build_indicator(scores: np.ndarray, c: float = 2.0):
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size < 1:
         raise ContractError("build_indicator needs at least one score")
-    mu = float(scores.mean())
-    sigma = float(scores.std())  # population
-    indicator = (scores <= mu + c * sigma).astype(np.float64)
-    dropped = int(scores.size - indicator.sum())
-    if dropped == scores.size and np.ptp(scores) == 0:  # equal scores drop or keep alike
-        indicator.fill(1.0)
-        dropped = 0
-    # Chebyshev: no more than n/c^2 nodes can sit above mu + c*sigma
-    if dropped > math.floor(scores.size / (c * c)):
-        raise ContractError(
-            f"dropped {dropped} of {scores.size} nodes, violating the Chebyshev bound")
-    return indicator, mu, sigma
+    indicators, mus, sigmas = [], [], []
+    for s in T.stacks(layout, scores):  # one graph's scores, or (b, n) of a group's
+        n = s.shape[-1]
+        mu = s.mean(axis=-1)
+        sigma = s.std(axis=-1)  # population
+        indicator = (s <= (mu + c * sigma)[..., None]).astype(np.float64)
+        dropped = n - indicator.sum(axis=-1)
+        # Chebyshev: no more than n/c^2 nodes can sit above mu + c*sigma
+        bound = math.floor(n / (c * c))
+        if dropped.max() > min(bound, n - 1):  # too many, or all of a graph
+            equal = (dropped == n) & (np.ptp(s, axis=-1) == 0)  # equal scores drop or keep alike
+            indicator[equal] = 1.0
+            dropped = np.where(equal, 0.0, dropped)
+            if dropped.max() > bound:
+                raise ContractError(f"dropped {int(dropped.max())} of {n} nodes, "
+                                    f"violating the Chebyshev bound")
+        if layout is None:
+            return indicator, float(mu), float(sigma)
+        indicators.append(indicator)
+        mus.append(mu)
+        sigmas.append(sigma)
+    return T.join(indicators), T.join(mus), T.join(sigmas)
 
 
-def apply_mask(features: np.ndarray, adjacency: np.ndarray, indicator: np.ndarray):
+def apply_mask(features: np.ndarray, adjacency: np.ndarray, indicator: np.ndarray,
+               layout: T.Layout | None = None):
     """Zero out rows (features) and rows+columns (adjacency) of dropped nodes.
 
     Shapes are unchanged; downstream readouts must exclude masked nodes
-    explicitly.
+    explicitly. With a layout, `adjacency` holds each graph's block flat.
     """
     ind = np.asarray(indicator, dtype=np.float64)
-    if ind.shape != (adjacency.shape[0],):
-        raise ContractError(f"indicator length {ind.shape} != node count {adjacency.shape[0]}")
-    x_prime = features * ind[:, None]
-    a_prime = adjacency * ind[:, None] * ind[None, :]
-    return x_prime, a_prime
+    if ind.shape != (features.shape[0],):
+        raise ContractError(f"indicator length {ind.shape} != node count {features.shape[0]}")
+    keep = ind[:, None]
+    a_prime = T.join([a * m * m.swapaxes(-1, -2) for a, m in
+                      zip(T.stacks(layout, adjacency, True), T.stacks(layout, keep))])
+    return features * keep, a_prime.reshape(adjacency.shape)
 
 
 def export_scores(rows, path: str):

@@ -7,21 +7,140 @@ constants record nothing, a backward computes no gradient for an operand that
 needs none, and inside `no_grad()` nothing is recorded at all: validation, the
 test split, `sweep`, `export-scores` and `analyze` forward grad-free.
 
-The fused ops `gram_sigmoid` (sigmoid(Z Z^T)), `clipped_bce`, `mse` and
-`cross_entropy` are one tape node each. Their backward repeats the elementwise
-expressions of the primitive chain they replace, in its order, so values and
-gradients are bit-identical to that chain. Broadcasting is limited to
+A batch of graphs is one tensor whose rows stack the graphs' nodes, as a
+`Layout` describes; pairwise data (A, A_hat) holds the graphs' n x n blocks
+flat. The ops that take a layout (weight products, propagation, the Gram
+sigmoid, the losses, sums and per-graph products) work graph by graph inside
+one tape node, so a batch builds one tape. Without a layout a tensor is one
+graph and these ops are plain 2-D ones.
+
+The fused ops `gcn_views` (the multi-view encoder), `gram_sigmoid`
+(sigmoid(Z Z^T)), `clipped_bce`, `mse` and `cross_entropy` are one tape node
+each. Their backward repeats the products and elementwise expressions of the
+primitive chain they replace, in its order, so values and gradients are
+bit-identical to that chain. Broadcasting is limited to
 row-vectors over rows (bias add) and 1x1 scalars; everything else must match
 exactly so shape bugs fail loudly.
 """
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
+
+
+class Group(NamedTuple):
+    """`b` adjacent graphs of `n` nodes: the first is graph `graph`, its rows
+    start at `row` and its pairwise entries at `pair`."""
+    n: int
+    b: int
+    graph: int
+    row: int
+    pair: int
+
+
+class Layout:
+    """Which rows of a tensor belong to which graph of a batch.
+
+    Graph g owns the next `sizes[g]` rows. Adjacent graphs of one size form a
+    `Group`, whose rows reshape to a (b, n, ...) stack (see `stacks`).
+    np.matmul multiplies a stack graph by graph with the BLAS call a lone
+    graph gets, so a graph's forward values do not depend on the batch it is
+    in, and nothing is padded. Pairwise data is stored flat, block after
+    block, and a group's blocks reshape to (b, n, n).
+    """
+
+    __slots__ = ("sizes", "groups", "rows", "pairs")
+
+    def __init__(self, sizes):
+        sizes = [int(n) for n in sizes]
+        if min(sizes, default=1) < 1:
+            raise ContractError("every graph of a batch needs at least one node")
+        self.sizes = np.array(sizes, dtype=np.int64)
+        self.groups: list[Group] = []
+        graph = row = pair = 0
+        for n, run in itertools.groupby(sizes):
+            b = len(list(run))
+            self.groups.append(Group(n, b, graph, row, pair))
+            graph, row, pair = graph + b, row + b * n, pair + b * n * n
+        self.rows, self.pairs = row, pair
+
+    @property
+    def graphs(self) -> int:
+        return len(self.sizes)
+
+    def split(self, a: np.ndarray) -> list[np.ndarray]:
+        """A per-node array cut into one array per graph."""
+        return np.split(a, np.cumsum(self.sizes)[:-1])
+
+
+def stacks(layout: Layout | None, a: np.ndarray, pairwise: bool = False) -> list[np.ndarray]:
+    """Views of a batch array, one per group, for numpy to work on graph by
+    graph: the rows of a per-node array as a (b, n, ...) stack, or with
+    `pairwise` the blocks of a flat pairwise array as (b, n, n). Without a
+    layout `a` is one graph's array and comes back as it is."""
+    if layout is None:
+        return [a]
+    if pairwise:
+        flat = a.reshape(-1)
+        return [flat[grp.pair:grp.pair + grp.b * grp.n * grp.n].reshape(grp.b, grp.n, grp.n)
+                for grp in layout.groups]
+    return [a[grp.row:grp.row + grp.b * grp.n].reshape((grp.b, grp.n) + a.shape[1:])
+            for grp in layout.groups]
+
+
+def join(parts: list[np.ndarray], cols: int | None = None) -> np.ndarray:
+    """Per-group results back in one array: rows of `cols` columns, else flat."""
+    shape = (-1,) if cols is None else (-1, cols)
+    if len(parts) == 1:
+        return parts[0].reshape(shape)
+    return np.concatenate([p.reshape(shape) for p in parts])
+
+
+def graph_sums(a: np.ndarray, layout: Layout | None = None) -> np.ndarray:
+    """Each graph's sum over all entries of its rows of a per-node array."""
+    if layout is None:
+        return a.sum().reshape(1)
+    return _segment_sums(a.reshape(-1), _runs(layout, a.size, a.size // max(len(a), 1)))
+
+
+def _check(layout: Layout | None, rows: int):
+    if layout is not None and layout.rows != rows:
+        raise ShapeError(f"layout covers {layout.rows} rows, tensor has {rows}")
+
+
+def _segment_sums(flat: np.ndarray, runs) -> np.ndarray:
+    """Sums of consecutive segments of `flat`: `runs` lists (segments, length)."""
+    out, start = [], 0
+    for count, length in runs:
+        stop = start + count * length
+        out.append(flat[start:stop].reshape(count, length).sum(axis=1))
+        start = stop
+    return out[0] if len(out) == 1 else np.concatenate(out)
+
+
+def _runs(layout: Layout | None, size: int, per_node: int | None):
+    """(graphs, entries per graph) per group: `per_node` entries per node, or
+    n per node for pairwise data (None); one graph of `size` entries without
+    a layout."""
+    if layout is None:
+        return [(1, size)]
+    return [(grp.b, grp.n * (grp.n if per_node is None else per_node)) for grp in layout.groups]
+
+
+def _lengths(runs) -> np.ndarray:
+    """The entry count of each segment of `runs`."""
+    return np.repeat([length for _, length in runs], [count for count, _ in runs])
+
+
+def _spread(per_graph: np.ndarray, runs) -> np.ndarray:
+    """Each segment's value repeated over its entries (flat)."""
+    return np.repeat(per_graph, _lengths(runs))
 
 
 class Tensor:
@@ -100,22 +219,32 @@ def _op(values, parents: tuple, backward) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray):
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False):
+    """Add g to t.grad. A `fresh` g is a new array that nothing else holds,
+    so it can become t.grad without a copy."""
     if not t.requires_grad:
         return
     if g.shape != t.shape:
         raise ShapeError(f"gradient shape {g.shape} != tensor shape {t.shape}")
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g if fresh else g.copy()
     else:
         t.grad += g
 
 
 # -- primitives ------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, layout: Layout | None = None) -> Tensor:
+    """a @ b. With a layout, each graph's rows of `a` are multiplied on their
+    own, so they get the values a lone graph gets; the backward is the same
+    either way."""
     if a.cols != b.rows:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
+    if layout is None:
+        values = a.values @ b.values
+    else:
+        _check(layout, a.rows)
+        values = join([np.matmul(x, b.values) for x in stacks(layout, a.values)], b.cols)
 
     def bw(g):
         if a.requires_grad:
@@ -123,7 +252,105 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accum(b, a.values.T @ g)
 
-    return _op(a.values @ b.values, (a, b), bw)
+    return _op(values, (a, b), bw)
+
+
+def propagate(pairs: np.ndarray, h: Tensor, layout: Layout | None = None) -> Tensor:
+    """Each graph's n x n block of the constant `pairs` times its rows of h:
+    the block-diagonal product. `pairs` is n x n without a layout, else flat."""
+    if layout is None:
+        if pairs.shape != (h.rows, h.rows):
+            raise ShapeError(f"propagate: {pairs.shape} @ {h.shape}")
+        return _op(pairs @ h.values, (h,), lambda g: _accum(h, pairs.T @ g))
+    _check(layout, h.rows)
+    if pairs.size != layout.pairs:
+        raise ShapeError(f"propagate: {pairs.size} pairwise entries for {layout.pairs}")
+    blocks = stacks(layout, pairs, pairwise=True)
+    values = join([p @ x for p, x in zip(blocks, stacks(layout, h.values))], h.cols)
+
+    def bw(g):
+        _accum(h, join([p.swapaxes(1, 2) @ x for p, x in zip(blocks, stacks(layout, g))],
+                       h.cols))
+
+    return _op(values, (h,), bw)
+
+
+def gcn_views(x: np.ndarray, columns: list[list[int]], embeds: list[Tensor],
+              gcns: list[Tensor], pairs: np.ndarray, layout: Layout | None = None) -> Tensor:
+    """relu(P @ (X[:, columns_v] @ E_v) @ G_v) for each view v, side by side:
+    a multi-view graph convolution of the constant X as one tape node. `pairs`
+    is the propagation matrix as `propagate` takes it. Views with equal column
+    counts are stacked, and np.matmul runs each view's and graph's product
+    with the BLAS call a separate product would make, so the values (and a
+    lone graph's gradients) match those of the per-view chain of ops."""
+    width, rows = gcns[0].cols, len(x)
+    if any(g.shape != (width, width) or e.cols != width for e, g in zip(embeds, gcns)):
+        raise ShapeError("gcn_views: every view needs the same output width")
+    if layout is None:  # one graph: one group of one
+        groups = [(0, 1, rows, pairs.reshape(1, rows, rows))]
+    else:
+        _check(layout, rows)
+        groups = [(grp.row, grp.b, grp.n, p) for grp, p in
+                  zip(layout.groups, stacks(layout, pairs, pairwise=True))]
+
+    def per_graph(fn, a):
+        """fn(P, rows) of each group's (b, n, n) propagation matrices and its
+        (views, b, n, cols) rows of `a` (views x rows x cols), rows rejoined."""
+        parts = [fn(p, a[:, row:row + b * n].reshape(len(a), b, n, -1)).reshape(len(a), b * n, -1)
+                 for row, b, n, p in groups]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+    stacked = []  # (views, inputs, embedded, activation) per input width
+    for d in dict.fromkeys(len(cols) for cols in columns):
+        views = [v for v, cols in enumerate(columns) if len(cols) == d]
+        # views x rows x d; each view's rows keep the layout x[:, cols] has
+        x3 = x[:, [columns[v] for v in views]].transpose(1, 0, 2)
+        embed_w = np.array([embeds[v].values for v in views])[:, None]
+        gcn_w = np.array([gcns[v].values for v in views])[:, None]
+        embedded = per_graph(lambda p, a: a @ embed_w, x3)
+        pre = per_graph(lambda p, a: p @ (a @ gcn_w), embedded)
+        stacked.append((views, x3, embedded, np.where(pre > 0.0, pre, 0.0)))
+    out = np.empty((rows, width * len(columns)))
+    for views, _, _, act in stacked:
+        for v, h in zip(views, act):
+            out[:, v * width:(v + 1) * width] = h
+
+    def bw(g):
+        for views, x3, embedded, act in stacked:
+            dpre = np.array([g[:, v * width:(v + 1) * width] for v in views]) * (act > 0.0)
+            dm = per_graph(lambda p, a: p.swapaxes(-1, -2) @ a, dpre)
+            d_gcn = embedded.swapaxes(-1, -2) @ dm
+            d_embedded = dm @ np.array([gcns[v].values for v in views]).swapaxes(-1, -2)
+            d_embed = x3.swapaxes(-1, -2) @ d_embedded
+            for j, v in enumerate(views):
+                _accum(gcns[v], d_gcn[j], fresh=True)
+                _accum(embeds[v], d_embed[j], fresh=True)
+
+    return _op(out, tuple(embeds) + tuple(gcns), bw)
+
+
+def transpose_matmul(a: Tensor, b: Tensor, layout: Layout | None = None) -> Tensor:
+    """a_g^T @ b_g for each graph g, stacked: (graphs * a.cols) x b.cols."""
+    if a.rows != b.rows:
+        raise ShapeError(f"transpose_matmul: {a.shape}^T @ {b.shape}")
+    k = a.cols
+    if layout is None:
+        values = a.values.T @ b.values
+    else:
+        _check(layout, a.rows)
+        values = join([x.swapaxes(1, 2) @ y for x, y in
+                       zip(stacks(layout, a.values), stacks(layout, b.values))], b.cols)
+
+    def bw(g):
+        gs = [g] if layout is None else [g[grp.graph * k:(grp.graph + grp.b) * k]
+                                         .reshape(grp.b, k, -1) for grp in layout.groups]
+        if a.requires_grad:
+            _accum(a, join([(gg @ y.swapaxes(-1, -2)).swapaxes(-1, -2)
+                            for gg, y in zip(gs, stacks(layout, b.values))], k))
+        if b.requires_grad:
+            _accum(b, join([x @ gg for x, gg in zip(stacks(layout, a.values), gs)], b.cols))
+
+    return _op(values, (a, b), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -199,42 +426,34 @@ def reciprocal(a: Tensor) -> Tensor:
     return _op(1.0 / a.values, (a,), lambda g: _accum(a, -g / (a.values * a.values)))
 
 
-def transpose(a: Tensor) -> Tensor:
-    return _op(a.values.T, (a,), lambda g: _accum(a, g.T))
+def tsum(a: Tensor, layout: Layout | None = None) -> Tensor:
+    """Reduce all entries to a 1x1 scalar; with a layout, each graph's rows to
+    one row of a graphs x 1 column."""
+    if layout is None:
+        return _op(a.values.sum().reshape(1, 1), (a,),
+                   lambda g: _accum(a, np.full(a.shape, g[0, 0])))
+    _check(layout, a.rows)
+    runs = _runs(layout, a.values.size, a.cols)
+    return _op(_segment_sums(a.values.reshape(-1), runs)[:, None], (a,),
+               lambda g: _accum(a, _spread(g[:, 0], runs).reshape(a.shape)))
 
 
-def tsum(a: Tensor) -> Tensor:
-    """Reduce all entries to a 1x1 scalar."""
-    return _op(a.values.sum().reshape(1, 1), (a,),
-               lambda g: _accum(a, np.full(a.shape, g[0, 0])))
-
-
-def slice_cols(a: Tensor, idx) -> Tensor:
-    idx = list(idx)
-
-    def bw(g):
-        full = np.zeros(a.shape)
-        np.add.at(full, (slice(None), idx), g)
-        _accum(a, full)
-
-    return _op(a.values[:, idx], (a,), bw)
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols: empty list")
-    rows = parts[0].rows
-    if any(p.rows != rows for p in parts):
-        raise ShapeError("concat_cols: row counts differ")
-    widths = [p.cols for p in parts]
+def scale_graphs(a: Tensor, w: Tensor, layout: Layout | None = None) -> Tensor:
+    """Each graph's rows of a times that graph's entry of the graphs x 1
+    tensor w (a 1x1 scalar for one graph)."""
+    _check(layout, a.rows)
+    graphs = 1 if layout is None else layout.graphs
+    if w.shape != (graphs, 1):
+        raise ShapeError(f"scale_graphs: {w.shape} weights for {graphs} graphs")
+    spread = w.values if layout is None else np.repeat(w.values, layout.sizes, axis=0)
 
     def bw(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            _accum(p, g[:, off:off + w])
-            off += w
+        if a.requires_grad:
+            _accum(a, g * spread)
+        if w.requires_grad:
+            _accum(w, graph_sums(g * a.values, layout)[:, None])
 
-    return _op(np.concatenate([p.values for p in parts], axis=1), tuple(parts), bw)
+    return _op(a.values * spread, (a, w), bw)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -246,76 +465,136 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 # -- fused ops -------------------------------------------------------------
 
-def gram_sigmoid(z: Tensor) -> Tensor:
-    """sigmoid(Z Z^T), symmetric by construction. Backward: dG @ Z + (Z^T @ dG)^T
+def gram_sigmoid(z: Tensor, layout: Layout | None = None) -> Tensor:
+    """sigmoid(Z Z^T) of each graph, symmetric by construction: n x n without a
+    layout, else the blocks flat in one row. Backward: dG @ Z + (Z^T @ dG)^T
     with dG = g * s * (1 - s)."""
-    zv = z.values
-    x = zv @ zv.T
-    # branch on sign so exp never overflows
-    e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    _check(layout, z.rows)
+    zs = stacks(layout, z.values)
+    blocks = []
+    for z3 in zs:
+        x = z3 @ z3.swapaxes(-1, -2)
+        # branch on sign so exp never overflows: 1 / (1 + e) for x >= 0, else
+        # e / (1 + e), with e = exp(-|x|); computed in place
+        e = np.abs(x)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        denom = e + 1.0
+        block = e / denom
+        np.divide(1.0, denom, out=denom)
+        np.copyto(block, denom, where=x >= 0)
+        blocks.append(block)
+    s = blocks[0] if layout is None else join(blocks).reshape(1, -1)
 
     def bw(g):
-        dg = g * s * (1.0 - s)
-        _accum(z, dg @ zv + (zv.T @ dg).T)
+        parts = []
+        for z3, s3, g3 in zip(zs, stacks(layout, s, True), stacks(layout, g, True)):
+            dg = g3 * s3 * (1.0 - s3)
+            parts.append(dg @ z3 + (z3.swapaxes(-1, -2) @ dg).swapaxes(-1, -2))
+        _accum(z, join(parts, z.cols))
 
     return _op(s, (z,), bw)
 
 
-def clipped_bce(p: Tensor, target, eps: float) -> Tensor:
+def clipped_bce(p: Tensor, target, eps: float, layout: Layout | None = None) -> Tensor:
     """Mean binary cross-entropy of probabilities p against target T:
     -sum(log(c) T + log(1 - c) (1 - T)) / size with c = clip(p, eps, 1 - eps).
-    No gradient reaches p where the clip is active."""
+    Without a layout p is one graph's entries, in any shape, and the result is
+    1x1; with one, p and T hold each graph's n x n block flat and the result
+    has one row per graph. No gradient reaches p where the clip is active.
+
+    Only p and T are kept: the backward recomputes c, 1 - c, 1 - T and the
+    clip mask from them, one size group at a time and in place, so its
+    scratch memory is a few copies of the largest group's blocks."""
     target = np.asarray(target, dtype=np.float64)
-    if target.shape != p.shape:
+    if target.size != p.values.size or (layout is not None and layout.pairs != target.size):
         raise ShapeError(f"clipped_bce: target {target.shape} != probabilities {p.shape}")
-    c = np.clip(p.values, eps, 1.0 - eps)
-    one_minus_c = c * -1.0 + 1.0
-    other = 1.0 - target
-    s = -1.0 / target.size
-    total = (np.log(c) * target + np.log(one_minus_c) * other).sum().reshape(1, 1)
-    inside = (p.values > eps) & (p.values < 1.0 - eps)
+    runs = _runs(layout, target.size, None)
+    s = -1.0 / _lengths(runs)
+
+    def groups(*arrays):
+        """Each array's entries per group as (graphs, entries per graph)."""
+        flats, start = [a.reshape(-1) for a in arrays], 0
+        for count, length in runs:
+            stop = start + count * length
+            yield [f[start:stop].reshape(count, length) for f in flats]
+            start = stop
+
+    totals = []
+    for pg, tg in groups(p.values, target):
+        c = np.clip(pg, eps, 1.0 - eps)
+        terms = np.log(c)
+        terms *= tg
+        c *= -1.0
+        c += 1.0
+        np.log(c, out=c)
+        c *= 1.0 - tg
+        terms += c
+        totals.append(terms.sum(axis=1))
 
     def bw(g):
-        full = np.full(p.shape, (g * s)[0, 0])
-        _accum(p, ((full * target) / c + (full * other) / one_minus_c * -1.0) * inside)
+        grad, first = np.empty(p.shape), 0
+        scale = g[:, 0] * s
+        for pg, tg, out in groups(p.values, target, grad):
+            full = scale[first:first + len(pg), None]  # each graph's g * s, broadcast
+            first += len(pg)
+            c = np.clip(pg, eps, 1.0 - eps)
+            np.multiply(full, tg, out=out)
+            out /= c
+            c *= -1.0
+            c += 1.0  # 1 - c
+            other = 1.0 - tg
+            other *= full
+            other /= c
+            other *= -1.0
+            out += other
+            out *= (pg > eps) & (pg < 1.0 - eps)
+        _accum(p, grad, fresh=True)
 
-    return _op(total * s, (p,), bw)
+    return _op((join(totals) * s)[:, None], (p,), bw)
 
 
-def mse(x: Tensor, target) -> Tensor:
-    """Mean squared error sum((target - x)^2) / size."""
+def mse(x: Tensor, target, layout: Layout | None = None) -> Tensor:
+    """Mean squared error sum((target - x)^2) / size: 1x1 without a layout,
+    else one row per graph over its rows."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != x.shape:
         raise ShapeError(f"mse: target {target.shape} != input {x.shape}")
+    _check(layout, x.rows)
+    runs = _runs(layout, target.size, x.cols)
+    s = 1.0 / _lengths(runs)
     diff = x.values * -1.0 + target
-    s = 1.0 / target.size
 
     def bw(g):
-        gd = np.full(x.shape, (g * s)[0, 0]) * diff
+        gd = _spread(g[:, 0] * s, runs).reshape(x.shape) * diff
         _accum(x, (gd + gd) * -1.0)
 
-    return _op((diff * diff).sum().reshape(1, 1) * s, (x,), bw)
+    return _op((_segment_sums((diff * diff).reshape(-1), runs) * s)[:, None], (x,), bw)
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Stable -log softmax(logits)[label] for a 1xC logit row (logsumexp)."""
-    if logits.rows != 1:
-        raise ShapeError(f"cross_entropy expects a 1xC row, got {logits.shape}")
-    z = logits.values - float(logits.values.max())  # softmax is shift-invariant
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Stable -log softmax(logits)[label] of each row (logsumexp), one row per
+    graph; `labels` holds one class per row, or is one int for a single row."""
+    labels = np.asarray(labels, dtype=np.intp).reshape(-1)
+    if labels.size != logits.rows:
+        raise ShapeError(f"cross_entropy: {labels.size} labels for {logits.rows} rows")
+    rows = np.arange(logits.rows)
+    z = logits.values - logits.values.max(axis=1, keepdims=True)  # softmax is shift-invariant
     e = np.exp(z)
-    total = e.sum().reshape(1, 1)
+    total = e.sum(axis=1, keepdims=True)
 
     def bw(g):
         gz = (g / total) * e
-        gz[0, label] += g[0, 0] * -1.0
+        gz[rows, labels] += g[:, 0] * -1.0
         _accum(logits, gz)
 
-    return _op(np.log(total) + z[:, [label]] * -1.0, (logits,), bw)
+    return _op(np.log(total) + z[rows, labels][:, None] * -1.0, (logits,), bw)
 
 
 def backward(loss: Tensor):
-    """Accumulate d(loss)/d(t) into .grad for every tape node t the loss depends on."""
+    """Accumulate d(loss)/d(t) into .grad for every leaf t the loss depends on.
+    An op output's gradient is dropped once passed on to its operands, so a
+    batch's n x n gradients do not outlive their use."""
     if loss.shape != (1, 1):
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     order = _toposort(loss)
@@ -323,6 +602,7 @@ def backward(loss: Tensor):
     for t in reversed(order):
         if t._backward is not None and t.grad is not None:
             t._backward(t.grad)
+            t.grad = None
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

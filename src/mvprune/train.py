@@ -2,9 +2,12 @@
 
 Training is two-phase: the pooling backend and classifier are pretrained on
 the unpruned graphs, then the multi-view pruning layer is enabled and all
-parameters train jointly. Graphs are processed one at a time with gradient
-accumulation up to the batch size, which sidesteps padded batching of
-variable-size graphs.
+parameters train jointly. Each optimizer step's graphs run as one batch
+(`forward_batch`): their nodes are stacked, graphs of equal size side by side
+(see `tensor.Layout`), so one forward builds one tape and one `backward`
+yields the step's summed gradient. Validation and test forwards run in the
+same batches without a tape. A graph's forward values do not depend on the
+batch it is in; only the order in which parameter gradients are summed does.
 """
 
 from __future__ import annotations
@@ -183,77 +186,122 @@ def build_model(config: TrainConfig, dataset: Dataset, sp: SplitSpec, seed: int)
 
 @dataclass
 class ForwardResult:
+    """One forward over a batch of graphs. Row i of `logits` and `l_pool` is
+    the caller's graph `order[i]`; per-node arrays stack those graphs' nodes
+    in the same order, as `layout` describes (None for a lone graph)."""
     logits: T.Tensor
     l_pool: T.Tensor | None
     scores: np.ndarray | None
-    indicator: np.ndarray
-    recon_args: tuple | None  # (A, standardized X, A_hat, X_hat): recon_losses' inputs
+    indicator: np.ndarray      # MVP's keep mask
+    recon_args: tuple | None   # recon_losses' inputs: A, standardized X, A_hat, X_hat, layout
+    selection: np.ndarray      # the keep mask that reaches the readout
+    layout: T.Layout | None
+    order: list[int]
+
+    def per_graph(self, values: np.ndarray) -> list[np.ndarray]:
+        """A per-node array cut into one array per graph, in row order."""
+        return [values] if self.layout is None else self.layout.split(values)
 
 
-def forward_graph(model: MvpModel, graph: Graph, use_mvp: bool | None = None,
+def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = None,
                   threshold_c: float | None = None) -> ForwardResult:
+    """One forward over `graphs`, sorted by size and stacked (see `tensor.Layout`).
+    Each graph gets the values its own forward would give, bit for bit."""
     cfg = model.config
     if use_mvp is None:
         use_mvp = cfg.use_mvp
     c = cfg.threshold_c if threshold_c is None else threshold_c
-    x_std = model.scaler.transform(graph.features)
+    if len(graphs) == 1:  # a lone graph takes the plain 2-D ops
+        layout, order = None, [0]
+        adjacency, x = graphs[0].adjacency, graphs[0].features
+    else:
+        order = sorted(range(len(graphs)), key=lambda i: graphs[i].n)
+        graphs = [graphs[i] for i in order]
+        layout = T.Layout([g.n for g in graphs])
+        adjacency = np.concatenate([g.adjacency.reshape(-1) for g in graphs])
+        x = np.concatenate([g.features for g in graphs])
+    x_std = model.scaler.transform(x)
     scores = recon_args = None
     if use_mvp:
-        z = encode_views_xa(x_std, graph.adjacency, model.partition, model.encoder)
-        a_hat, x_hat = reconstruct(z, model.recon)
-        recon_args = (graph.adjacency, x_std, a_hat, x_hat)
-        scores = node_scores(graph.adjacency, x_std, a_hat.values, x_hat.values, cfg.lam)
-        indicator, _, _ = build_indicator(scores, c)
+        z = encode_views_xa(x_std, adjacency, model.partition, model.encoder, layout)
+        a_hat, x_hat = reconstruct(z, model.recon, layout)
+        recon_args = (adjacency, x_std, a_hat, x_hat, layout)
+        scores = node_scores(adjacency, x_std, a_hat.values, x_hat.values, cfg.lam, layout)
+        indicator, _, _ = build_indicator(scores, c, layout)
         # straight-through: the indicator enters the task path only as a constant
-        x_in, a_in = apply_mask(x_std, graph.adjacency, indicator)
+        x_in, a_in = apply_mask(x_std, adjacency, indicator, layout)
     else:
-        indicator = np.ones(graph.n)
-        x_in, a_in = x_std, graph.adjacency
-    h_g, l_pool, _ = model.backend.forward(T.Tensor(x_in), a_in, indicator)
+        indicator = np.ones(len(x_std))
+        x_in, a_in = x_std, adjacency
+    h_g, l_pool, selection = model.backend.forward(T.Tensor(x_in), a_in, indicator, layout)
     logits = classify(h_g, model.classifier)
-    return ForwardResult(logits, l_pool, scores, indicator, recon_args)
+    return ForwardResult(logits, l_pool, scores, indicator, recon_args, selection, layout, order)
 
 
-def combined_loss(result: ForwardResult, label: int, use_recon: bool = True):
-    """Unweighted sum of the enabled terms; disabled terms are not built and add 0."""
-    loss = T.cross_entropy(result.logits, label)
-    parts = {"ce": loss.item(), "la": 0.0, "lx": 0.0, "pool": 0.0}
+def forward_graph(model: MvpModel, graph: Graph, use_mvp: bool | None = None,
+                  threshold_c: float | None = None) -> ForwardResult:
+    """`forward_batch` of one graph."""
+    return forward_batch(model, [graph], use_mvp, threshold_c)
+
+
+def combined_loss(result: ForwardResult, labels, use_recon: bool = True):
+    """Each graph's unweighted sum of the enabled terms (graphs x 1, in the
+    result's row order) and the terms as per-graph arrays; disabled terms are
+    not built and add 0. `labels` holds one class per graph in the caller's
+    order, or is one int for a single graph."""
+    labels = np.asarray(labels).reshape(-1)[result.order]
+    loss = T.cross_entropy(result.logits, labels)
+    zero = np.zeros(len(labels))
+    parts = {"ce": loss.values[:, 0], "la": zero, "lx": zero, "pool": zero}
     if use_recon and result.recon_args is not None:
         la, lx, _ = recon_losses(*result.recon_args)
         loss = T.add(T.add(loss, la), lx)
-        parts["la"], parts["lx"] = la.item(), lx.item()
+        parts["la"], parts["lx"] = la.values[:, 0], lx.values[:, 0]
     if result.l_pool is not None:
         loss = T.add(loss, result.l_pool)
-        parts["pool"] = result.l_pool.item()
+        parts["pool"] = result.l_pool.values[:, 0]
     return loss, parts
 
 
 def evaluate(model: MvpModel, dataset: Dataset, indices,
-             threshold_c: float | None = None) -> tuple[float, list[np.ndarray]]:
-    """Accuracy over `indices` and each graph's keep indicator, from one
-    grad-free forward per graph (at `threshold_c` if given, else the
-    configured one)."""
-    correct, indicators = 0, []
+             threshold_c: float | None = None):
+    """Accuracy over `indices`, and each graph's keep indicator and readout
+    selection, from grad-free forwards of up to `batch_size` graphs of similar
+    size (at `threshold_c` if given, else the configured one)."""
+    indices = list(indices)
+    by_size = sorted(range(len(indices)), key=lambda p: dataset.graphs[indices[p]].n)
+    correct, indicators, selections = 0, [None] * len(indices), [None] * len(indices)
+    step = model.config.batch_size
     with T.no_grad():
-        for i in indices:
-            res = forward_graph(model, dataset.graphs[i], threshold_c=threshold_c)
-            correct += int(np.argmax(res.logits.values) == dataset.graphs[i].label)
-            indicators.append(res.indicator)
-    return (correct / len(indices) if len(indices) else 0.0), indicators
+        for start in range(0, len(by_size), step):
+            chunk = by_size[start:start + step]
+            res = forward_batch(model, [dataset.graphs[indices[p]] for p in chunk],
+                                threshold_c=threshold_c)
+            predicted = np.argmax(res.logits.values, axis=1)
+            rows = zip(res.order, predicted, res.per_graph(res.indicator),
+                       res.per_graph(res.selection))
+            for pos, label, indicator, selection in rows:
+                p = chunk[pos]
+                correct += int(label == dataset.graphs[indices[p]].label)
+                indicators[p], selections[p] = indicator, selection
+    return (correct / len(indices) if indices else 0.0), indicators, selections
 
 
-def pruning_stats(dataset: Dataset, indices, indicators) -> dict:
-    """Fraction of nodes pruned (pruned nodes over all nodes) and the degree
-    histogram of pruned nodes, from the keep indicators `evaluate` returns."""
-    total = pruned = 0
+def pruning_stats(dataset: Dataset, indices, indicators, selections) -> dict:
+    """Over all nodes of `indices`: the fraction MVP prunes, the fraction MVP
+    keeps but the backend's own selection drops before the readout, and the
+    degree histogram of MVP-pruned nodes, from what `evaluate` returns."""
+    total = pruned = readout_dropped = 0
     hist: dict[int, int] = {}
-    for i, indicator in zip(indices, indicators):
+    for i, indicator, selection in zip(indices, indicators, selections):
         graph = dataset.graphs[i]
         total += graph.n
+        readout_dropped += int(((indicator > 0) & (selection == 0)).sum())
         for deg in graph.degrees.astype(int)[indicator == 0]:
             pruned += 1
             hist[int(deg)] = hist.get(int(deg), 0) + 1
     return {"fraction_pruned": pruned / total if total else 0.0,
+            "readout_dropped_fraction": readout_dropped / total if total else 0.0,
             "pruned_degree_histogram": {str(k): v for k, v in sorted(hist.items())}}
 
 
@@ -262,7 +310,7 @@ def _run_phase(model: MvpModel, dataset: Dataset, sp: SplitSpec, seed: int,
     """Pretraining (`joint` False) trains the backend and classifier on the
     unpruned graphs. The joint phase trains every parameter, through the
     pruning layer when the config uses it, and restores the weights of the
-    best validation epoch."""
+    best validation epoch. Each step is one batch of `batch_size` graphs."""
     cfg = model.config
     use_mvp = joint and cfg.use_mvp
     epochs = cfg.epochs if joint else cfg.pretrain_epochs
@@ -274,26 +322,21 @@ def _run_phase(model: MvpModel, dataset: Dataset, sp: SplitSpec, seed: int,
     for epoch in range(epochs):
         order = order_rng.permutation(sp.train)
         sums = {"ce": 0.0, "la": 0.0, "lx": 0.0, "pool": 0.0}
-        opt.zero_grad()
-        pending = 0
-        for gi in order:
-            graph = dataset.graphs[gi]
-            res = forward_graph(model, graph, use_mvp=use_mvp)
-            loss, parts = combined_loss(res, graph.label, cfg.use_recon_loss)
-            if not np.isfinite(loss.item()):
-                raise TrainingDiverged(
-                    f"non-finite loss at seed {seed}, epoch {epoch}, graph {gi}: {parts}")
-            T.backward(loss)
-            for key in sums:
-                sums[key] += parts[key]
-            pending += 1
-            if pending >= cfg.batch_size:
-                opt.step()
-                opt.zero_grad()
-                pending = 0
-        if pending:
-            opt.step()
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [dataset.graphs[gi] for gi in order[start:start + cfg.batch_size]]
+            res = forward_batch(model, batch, use_mvp=use_mvp)
+            loss, parts = combined_loss(res, [g.label for g in batch], cfg.use_recon_loss)
+            bad = np.flatnonzero(~np.isfinite(loss.values[:, 0]))
+            if bad.size:  # name the first graph of the batch whose loss is not finite
+                row = min(bad, key=lambda r: res.order[r])
+                raise TrainingDiverged(seed, epoch, int(order[start + res.order[row]]),
+                                       {key: float(v[row]) for key, v in parts.items()})
             opt.zero_grad()
+            T.backward(T.tsum(loss))
+            opt.step()
+            del res, loss  # free this step's tape before the next forward builds one
+            for key in sums:
+                sums[key] += float(parts[key].sum())
         n_train = len(sp.train)
         for key in sums:
             trace[f"{prefix}_{key}"].append(sums[key] / n_train)
@@ -357,7 +400,8 @@ class TrialReport:
 
     def metrics_rows(self) -> list[dict]:
         return [{"seed": s, "accuracy": "%.17g" % a,
-                 "pruned_fraction": "%.17g" % ps["fraction_pruned"]}
+                 "pruned_fraction": "%.17g" % ps["fraction_pruned"],
+                 "readout_dropped_fraction": "%.17g" % ps["readout_dropped_fraction"]}
                 for s, a, ps in zip(self.seeds, self.accuracies, self.prune_stats)]
 
 
@@ -365,12 +409,15 @@ def _trial(config: TrainConfig, dataset: Dataset, seed: int) -> dict:
     try:
         sp = split(dataset, seed)
         model, trace = train_one(config, dataset, sp, seed)
-        accuracy, indicators = evaluate(model, dataset, sp.test)
-        stats = pruning_stats(dataset, sp.test, indicators)
+        accuracy, indicators, selections = evaluate(model, dataset, sp.test)
+        stats = pruning_stats(dataset, sp.test, indicators, selections)
     except ConfigError:
         raise  # a bad config fails every seed alike: stop the run (CLI exit 2)
     except MvpruneError as exc:  # one bad seed must not discard the others
-        return {"seed": seed, "ok": False, "error": str(exc), "error_type": type(exc).__name__}
+        failure = {"seed": seed, "error_type": type(exc).__name__, "error": str(exc)}
+        if isinstance(exc, TrainingDiverged):
+            failure.update(epoch=exc.epoch, graph=exc.graph, parts=exc.parts)
+        return dict(failure, ok=False)
     return {"seed": seed, "ok": True, "accuracy": accuracy,
             "trace": trace, "partition": model.partition.to_dict(),
             "prune_stats": stats, "state": model.state_dict()}
@@ -383,7 +430,8 @@ def run_trials(config: TrainConfig, dataset: Dataset,
     Seeds run independently (in `jobs` processes when > 1) and are always
     aggregated in seed order. A seed that fails with an MvpruneError other
     than ConfigError is recorded in `failures` (seed, exception type,
-    message) and the report carries the other seeds' results.
+    message, and for a divergence its epoch, graph and loss parts) and the
+    report carries the other seeds' results.
     """
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -397,7 +445,7 @@ def run_trials(config: TrainConfig, dataset: Dataset,
     models = []
     for res in results:
         if not res["ok"]:
-            report.failures.append({k: res[k] for k in ("seed", "error_type", "error")})
+            report.failures.append({k: v for k, v in res.items() if k != "ok"})
             continue
         report.seeds.append(res["seed"])
         report.accuracies.append(res["accuracy"])

@@ -179,10 +179,12 @@ def random_graph(rng, n, p=0.4, d=4):
 # -- the forward before one propagation matrix per call and the fused ops --
 #
 # Built from the tape primitives and the library helpers that the fast path
-# left unchanged: each view normalizes an explicit A + I, the backends
+# left unchanged: each view is its own chain of slice, products and ReLU,
+# joined by a concatenation, and normalizes an explicit A + I; the backends
 # normalize inside every GCN call, the sigmoid takes three exps, and the
 # reconstruction losses and the cross-entropy are chains of one-step tape ops
-# (clip, log, exp, sigmoid below), built inside the forward.
+# (transpose, slice, concatenation, clip, log, exp, sigmoid below), built
+# inside the forward. It runs one graph at a time.
 
 def normalize_adjacency_ref(adjacency):
     """D^-1/2 (A + I) D^-1/2 scaled from an explicit A + I."""
@@ -213,8 +215,31 @@ def _clip_ref(a, lo, hi):
     return T._op(np.clip(a.values, lo, hi), (a,), lambda g: T._accum(a, g * inside))
 
 
+def _transpose_ref(a):
+    return T._op(a.values.T, (a,), lambda g: T._accum(a, g.T))
+
+
+def _slice_cols_ref(a, idx):
+    def bw(g):
+        full = np.zeros(a.shape)
+        full[:, idx] += g
+        T._accum(a, full)
+
+    return T._op(a.values[:, idx], (a,), bw)
+
+
+def _concat_cols_ref(parts):
+    widths = np.cumsum([0] + [p.cols for p in parts])
+
+    def bw(g):
+        for p, lo, hi in zip(parts, widths[:-1], widths[1:]):
+            T._accum(p, g[:, lo:hi])
+
+    return T._op(np.concatenate([p.values for p in parts], axis=1), tuple(parts), bw)
+
+
 def gram_sigmoid_ref(z):
-    return _sigmoid_ref(T.matmul(z, T.transpose(z)))
+    return _sigmoid_ref(T.matmul(z, _transpose_ref(z)))
 
 
 def recon_losses_ref(adjacency, features, a_hat, x_hat):
@@ -234,7 +259,7 @@ def cross_entropy_ref(logits, label):
     shift = float(logits.values.max())  # constant shift; softmax is invariant
     z = T.add_const(logits, -shift)
     lse = _log_ref(T.tsum(_exp_ref(z)))
-    picked = T.slice_cols(z, [label])
+    picked = _slice_cols_ref(z, [label])
     return T.add(lse, T.scale(picked, -1.0))
 
 
@@ -269,8 +294,8 @@ def forward_ref(model, graph):
     x_t = T.Tensor(x_std)
     views = zip(model.partition.columns_per_view, model.encoder.embed_weights,
                 model.encoder.gcn_weights)
-    z = T.concat_cols([_gcn_ref(T.matmul(T.slice_cols(x_t, cols), w_embed), w_gcn,
-                                graph.adjacency) for cols, w_embed, w_gcn in views])
+    z = _concat_cols_ref([_gcn_ref(T.matmul(_slice_cols_ref(x_t, cols), w_embed), w_gcn,
+                                    graph.adjacency) for cols, w_embed, w_gcn in views])
     a_hat = gram_sigmoid_ref(z)
     x_hat = T.relu(T.add(T.matmul(z, model.recon.weight), model.recon.bias))
     la, lx, _ = recon_losses_ref(graph.adjacency, x_std, a_hat, x_hat)

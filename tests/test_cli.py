@@ -242,3 +242,19 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def test_metrics_count_what_the_readout_drops(tmp_path, data_dir, run_dir):
+    # without MVP nothing is pruned before the backend, but attention top-k
+    # keeps ceil(0.75 * 10) = 8 nodes of each 10-node graph for its readout
+    out = tmp_path / "attention"
+    rc = cli.main(["train", "--dataset", data_dir, "--out", str(out), "--no-mvp",
+                   "--backend", "attention-topk"] + SMALL_FLAGS)
+    assert rc == 0
+    with open(out / "metrics.csv") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert float(row["pruned_fraction"]) == 0.0
+    assert float(row["readout_dropped_fraction"]) == 0.2
+    with open(os.path.join(run_dir, "metrics.csv")) as fh:
+        [row] = list(csv.DictReader(fh))
+    assert float(row["readout_dropped_fraction"]) == 0.0  # MVP+mean reads what MVP keeps

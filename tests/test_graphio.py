@@ -60,6 +60,21 @@ def test_cross_graph_edge_reports_line_number(tmp_path):
         graphio.load_tu(str(tmp_path), name)
 
 
+@pytest.mark.parametrize("attributes, message", [
+    ("0.5, 1\n2, 3\n1.5\n", "line 3: 1 values, expected 2"),
+    ("0.5, 1\n2, 3\n", "2 lines for 3 nodes"),
+    ("0.5, 1\n2, 3\n1, x\n", "line 3: bad value"),
+])
+def test_bad_node_attributes_name_the_line(tmp_path, attributes, message):
+    name = "attrs"
+    (tmp_path / f"{name}_A.txt").write_text("1, 2\n2, 1\n")
+    (tmp_path / f"{name}_graph_indicator.txt").write_text("1\n1\n1\n")
+    (tmp_path / f"{name}_graph_labels.txt").write_text("0\n")
+    (tmp_path / f"{name}_node_attributes.txt").write_text(attributes)
+    with pytest.raises(FormatError, match=message):
+        graphio.load_tu(str(tmp_path), name)
+
+
 def test_graph_without_nodes_is_rejected(tmp_path):
     name = "gap"
     (tmp_path / f"{name}_A.txt").write_text("1, 2\n3, 4\n")

@@ -110,18 +110,6 @@ def test_row_broadcast_bias_add():
     assert np.array_equal(b.grad, [[3.0, 3.0]])
 
 
-def test_concat_and_slice_cols_roundtrip_gradients():
-    rng = np.random.default_rng(5)
-    a = T.param(rng.normal(size=(2, 3)))
-    b = T.param(rng.normal(size=(2, 2)))
-    cat = T.concat_cols([a, b])
-    assert cat.shape == (2, 5)
-    back = T.slice_cols(cat, [3, 4])
-    T.backward(T.tsum(back))
-    assert np.array_equal(a.grad, np.zeros((2, 3)))
-    assert np.array_equal(b.grad, np.ones((2, 2)))
-
-
 def test_softmax_rows_gradient():
     rng = np.random.default_rng(6)
     p = T.param(rng.normal(size=(3, 4)))
@@ -189,13 +177,19 @@ def test_forward_is_bitwise_deterministic():
 # -- what the tape records -------------------------------------------------
 
 def _ops_on(a, b, row):
-    """Every op applied to operands a (4x4), b (4x4) and row (1x4)."""
+    """Every op applied to operands a (4x4), b (4x4) and row (1x4); the ops
+    that take a layout also to a batch of two 2-node graphs."""
+    two = T.Layout((2, 2))
     return [T.matmul(a, b), T.add(a, b), T.add(a, row), T.mul(a, b), T.mul_const(a, 2.0),
             T.add_const(a, 1.0), T.scale(a, 3.0), T.relu(a), T.tanh(a), T.sqrt(T.mul(a, a)),
-            T.reciprocal(T.add_const(T.mul(a, a), 1.0)), T.transpose(a), T.tsum(a),
-            T.slice_cols(a, [1, 3]), T.concat_cols([a, b]), T.softmax_rows(a),
+            T.reciprocal(T.add_const(T.mul(a, a), 1.0)), T.tsum(a), T.softmax_rows(a),
             T.gram_sigmoid(a), T.clipped_bce(T.softmax_rows(a), np.eye(4), 1e-7),
-            T.mse(a, np.ones((4, 4))), T.cross_entropy(row, 2)]
+            T.mse(a, np.ones((4, 4))), T.cross_entropy(row, 2),
+            T.matmul(a, b, two), T.propagate(np.ones(8), a, two), T.transpose_matmul(a, b, two),
+            T.tsum(a, two), T.scale_graphs(a, T.tsum(b, two), two), T.gram_sigmoid(a, two),
+            T.clipped_bce(T.gram_sigmoid(a, two), np.full(8, 0.5), 1e-7, two),
+            T.mse(a, b.values, two), T.cross_entropy(a, [0, 1, 2, 3]),
+            T.gcn_views(np.ones((4, 4)), [[0, 1, 2, 3]], [a], [b], np.eye(4))]
 
 
 def test_ops_on_constants_record_no_parents():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvprune import multiview as mv, train as tr, tensor as T
-from mvprune.errors import ConfigError, ContractError
+from mvprune.errors import ConfigError, ContractError, TrainingDiverged
 from mvprune.graphio import Dataset, Graph, split, synth_planted_anomalies
 from mvprune.pooling import BACKEND_KINDS
+from mvprune.rng import substream
 
 from oracles import finite_diff, forward_ref, random_graph, rel_err
 
@@ -277,7 +278,7 @@ def test_training_steps_leave_no_reference_cycles(corpus, backend):
 
 
 def test_trial_forwards_each_test_graph_once(corpus, monkeypatch):
-    real_train, real_forward = tr.train_one, tr.forward_graph
+    real_train, real_forward = tr.train_one, tr.forward_batch
     trained, forwarded = [], []
 
     def train_one(*args):
@@ -285,13 +286,13 @@ def test_trial_forwards_each_test_graph_once(corpus, monkeypatch):
         trained.append(True)
         return out
 
-    def forward_graph(model, graph, *args, **kwargs):
+    def forward_batch(model, graphs, *args, **kwargs):
         if trained:
-            forwarded.append(id(graph))
-        return real_forward(model, graph, *args, **kwargs)
+            forwarded.extend(id(g) for g in graphs)
+        return real_forward(model, graphs, *args, **kwargs)
 
     monkeypatch.setattr(tr, "train_one", train_one)
-    monkeypatch.setattr(tr, "forward_graph", forward_graph)
+    monkeypatch.setattr(tr, "forward_batch", forward_batch)
     result = tr._trial(tr.TrainConfig.from_dict(dict(SMALL)), corpus, 0)
     assert result["ok"]
     assert sorted(forwarded) == sorted(id(corpus.graphs[i]) for i in split(corpus, 0).test)
@@ -376,16 +377,16 @@ def test_evaluate_builds_no_reconstruction_loss(corpus, monkeypatch):
 
 
 def test_evaluate_builds_no_tape(corpus, monkeypatch):
-    results, real = [], tr.forward_graph
+    results, real = [], tr.forward_batch
 
     def capturing(*args, **kwargs):
         results.append(real(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(tr, "forward_graph", capturing)
+    monkeypatch.setattr(tr, "forward_batch", capturing)
     model = tr.build_model(tr.TrainConfig.from_dict(dict(SMALL)), corpus, split(corpus, 0), 0)
     tr.evaluate(model, corpus, range(len(corpus)))
-    assert len(results) == len(corpus)
+    assert sum(len(r.order) for r in results) == len(corpus)
     assert all(r.logits._parents == () and not r.logits.requires_grad for r in results)
     assert tr.forward_graph(model, corpus.graphs[0]).logits._parents  # training still records
 
@@ -475,3 +476,136 @@ def test_equal_scores_keep_every_node_below_one_sigma(corpus, backend):
     res = tr.forward_graph(model, Graph(np.zeros((10, 10)), np.repeat(row, 10, axis=0), 0))
     assert res.scores.std() > 0.0  # not exactly 0: the rounding this guards against
     assert res.indicator.all()
+
+
+# -- one tape per mini-batch -----------------------------------------------
+
+def _batch_of_every_shape(dataset):
+    # sizes 1 to 34, several sizes more than once, and the degenerate graphs
+    return dataset.graphs + list(_degenerate_graphs(dataset.d).values())
+
+
+@pytest.mark.parametrize("backend", BACKEND_KINDS)
+def test_batched_forward_matches_lone_forwards_bit_for_bit(mixed_corpus, backend):
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3, threshold_c=1.0))
+    model = tr.build_model(cfg, mixed_corpus, split(mixed_corpus, 0), seed=0)
+    graphs = _batch_of_every_shape(mixed_corpus)
+    res = tr.forward_batch(model, graphs)
+    loss, parts = tr.combined_loss(res, [g.label for g in graphs])
+    assert sorted(res.order) == list(range(len(graphs)))
+    per_graph = zip(res.order, res.per_graph(res.scores), res.per_graph(res.indicator),
+                    res.per_graph(res.selection))
+    for row, (pos, scores, indicator, selection) in enumerate(per_graph):
+        g = graphs[pos]
+        lone = tr.forward_graph(model, g)
+        lone_loss, lone_parts = tr.combined_loss(lone, g.label)
+        assert np.array_equal(res.logits.values[row], lone.logits.values[0]), pos
+        assert np.array_equal(scores, lone.scores), pos
+        assert np.array_equal(indicator, lone.indicator), pos
+        assert np.array_equal(selection, lone.selection), pos
+        assert loss.values[row, 0] == lone_loss.item(), pos
+        for key in parts:
+            assert parts[key][row] == lone_parts[key][0], (pos, key)
+    assert res.indicator.sum() < len(res.indicator)  # the threshold dropped nodes
+
+
+@pytest.mark.parametrize("backend", BACKEND_KINDS)
+def test_batched_gradient_is_the_sum_of_lone_reference_gradients(mixed_corpus, backend):
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3, threshold_c=1.0))
+    model = tr.build_model(cfg, mixed_corpus, split(mixed_corpus, 0), seed=0)
+    params = model.named_parameters()
+    graphs = _batch_of_every_shape(mixed_corpus)
+    want = {name: np.zeros(p.shape) for name, p in params.items()}
+    for g in graphs:
+        for name, grad in _grads(forward_ref(model, g)[3], params).items():
+            want[name] += grad
+    loss, _ = tr.combined_loss(tr.forward_batch(model, graphs), [g.label for g in graphs])
+    got = _grads(T.tsum(loss), params)
+    for name in params:
+        assert rel_err(got[name], want[name]) <= 1e-10, name
+
+
+def test_batched_step_tape_budget():
+    # a lone joint step records 54 nodes (test_joint_step_tape_budget); a batch
+    # of 32 must record at least 5x fewer per graph
+    ds, _ = synth_planted_anomalies(32, 20, 0.15, seed=7)
+    cfg = tr.TrainConfig.from_dict(dict(epochs=30, pretrain_epochs=10, views=4, latent_width=32,
+                                        learning_rate=2e-3, batch_size=32, seeds=(0,)))
+    model = tr.build_model(cfg, ds, split(ds, 0), seed=0)
+    loss, _ = tr.combined_loss(tr.forward_batch(model, ds.graphs), [g.label for g in ds.graphs])
+    total = T.tsum(loss)
+    assert _tape_size(total) * 5 <= 54 * len(ds.graphs)
+    assert len(T._toposort(total)) <= _tape_size(total)
+
+
+def test_training_runs_one_backward_per_step(corpus, monkeypatch):
+    calls, real = [], T.backward
+
+    def counting(loss):
+        calls.append(loss)
+        return real(loss)
+
+    monkeypatch.setattr(T, "backward", counting)
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, epochs=1, pretrain_epochs=0))
+    sp = split(corpus, 0)
+    tr.train_one(cfg, corpus, sp, seed=0)
+    assert len(calls) == -(-len(sp.train) // cfg.batch_size)
+
+
+def test_divergence_names_the_graph_and_keeps_other_seeds(monkeypatch):
+    ds, _ = synth_planted_anomalies(60, 10, 0.1, seed=3)
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, batch_size=32, seeds=(0, 1, 2)))
+    target = int(split(ds, 1).train[5])  # one graph of seed 1's first 32-graph batch or later
+    real = tr.forward_batch
+
+    def poisoned(model, graphs, *args, **kwargs):
+        res = real(model, graphs, *args, **kwargs)
+        if model.partition.seed == 1 and any(g is ds.graphs[target] for g in graphs):
+            pos = next(i for i, g in enumerate(graphs) if g is ds.graphs[target])
+            res.logits.values[res.order.index(pos)] = np.nan
+        return res
+
+    monkeypatch.setattr(tr, "forward_batch", poisoned)
+    report = tr.run_trials(cfg, ds)
+    assert report.seeds == [0, 2]
+    [failure] = report.failures
+    assert failure["seed"] == 1 and failure["error_type"] == "TrainingDiverged"
+    assert failure["graph"] == target
+    assert failure["epoch"] == 0
+    assert np.isnan(failure["parts"]["ce"])
+    assert set(failure["parts"]) == {"ce", "la", "lx", "pool"}
+    assert f"graph {target}" in failure["error"]
+
+
+def test_divergence_names_the_first_bad_graph_of_the_batch():
+    rng = np.random.default_rng(4)
+    graphs = [Graph(*random_graph(rng, int(rng.integers(4, 13)), d=4), i % 2) for i in range(40)]
+    ds = Dataset(graphs, 4, 2, "sizes")
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, batch_size=32, use_mvp=False, backend="mincut",
+                                        clusters=3))
+    sp = split(ds, 0)
+    order = [int(gi) for gi in substream(0, "batch").permutation(sp.train)[:32]]
+    # a later graph of the batch that is smaller, so its row comes first
+    first, later = next((a, b) for i, a in enumerate(order) for b in order[i + 1:]
+                        if graphs[b].n < graphs[a].n)
+    for gi in (first, later):
+        graphs[gi].adjacency[0, 0] = np.nan  # reaches that graph's MinCut loss only
+    with pytest.raises(TrainingDiverged) as info:
+        tr.train_one(cfg, ds, sp, seed=0)
+    assert (info.value.seed, info.value.epoch, info.value.graph) == (0, 0, first)
+    assert np.isnan(info.value.parts["pool"]) and info.value.parts["la"] == 0.0
+
+
+def test_evaluate_returns_what_reaches_the_readout(corpus):
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, use_mvp=False, backend="attention-topk"))
+    model = tr.build_model(cfg, corpus, split(corpus, 0), seed=0)
+    indices = split(corpus, 0).test
+    _, indicators, selections = tr.evaluate(model, corpus, indices)
+    for i, indicator, selection in zip(indices, indicators, selections):
+        assert indicator.all()
+        assert selection.sum() == np.ceil(0.75 * corpus.graphs[i].n)
+    stats = tr.pruning_stats(corpus, indices, indicators, selections)
+    assert stats["fraction_pruned"] == 0.0
+    n = sum(corpus.graphs[i].n for i in indices)
+    assert stats["readout_dropped_fraction"] == sum(
+        corpus.graphs[i].n - np.ceil(0.75 * corpus.graphs[i].n) for i in indices) / n
