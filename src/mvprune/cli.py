@@ -16,12 +16,12 @@ import sys
 
 import numpy as np
 
-from . import __version__, analysis, tensor as T, train as train_mod
+from . import __version__, analysis, train as train_mod
 from .errors import ConfigError, LoadError, MvpruneError
 from .graphio import load_tu, save_anomaly_truth, save_tu, split, synth_planted_anomalies
 from .pooling import BACKEND_KINDS
 from .prune import export_scores
-from .train import TrainConfig, build_model, forward_graph, run_trials
+from .train import TrainConfig, build_model, run_trials
 
 EXIT_OK, EXIT_ERROR, EXIT_CONFIG = 0, 1, 2
 
@@ -93,12 +93,11 @@ def _write_metrics(report, path: str):
 
 
 def _scores_and_keeps(model, dataset):
-    """Per graph: reconstruction scores (zeros without MVP) and the keep
-    indicator, from a grad-free forward."""
-    for graph in dataset.graphs:
-        with T.no_grad():
-            res = forward_graph(model, graph)
-        yield res.scores if res.scores is not None else np.zeros(graph.n), res.indicator
+    """Per graph, in dataset order: reconstruction scores (zeros without MVP)
+    and the keep indicator, from `train.predict`'s batched grad-free forwards."""
+    for graph, (_, scores, indicator, _) in zip(dataset.graphs,
+                                                 train_mod.predict(model, dataset.graphs)):
+        yield scores if scores is not None else np.zeros(graph.n), indicator
 
 
 def _score_rows(model, dataset):

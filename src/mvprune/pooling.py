@@ -1,8 +1,9 @@
 """Pooling backends consuming the pruned graph, plus the classifier head.
 
-Every backend maps (X', A', indicator) to a fixed-width graph vector, an
-auxiliary scalar loss (None for plain readouts, meaning exactly zero) and the
-keep-mask its readout used.
+Every backend maps (X', A', indicator) to a fixed-width graph vector, the
+inputs of its auxiliary loss (MinCut's `mincut_loss`, which only the training
+loss builds; None for the others, meaning exactly zero) and the keep-mask its
+readout used.
 """
 
 from __future__ import annotations
@@ -91,21 +92,24 @@ def feature_topk_pool(x: T.Tensor, keep_ratio: float, projection: T.Tensor,
 
 # -- mincut pooling --------------------------------------------------------
 
-def mincut_pool(h: T.Tensor, adjacency: np.ndarray, assign_w: T.Tensor, assign_b: T.Tensor,
+def mincut_pool(h: T.Tensor, assign_w: T.Tensor, assign_b: T.Tensor,
                 layout: T.Layout | None = None):
-    """Soft spectral clustering of each graph's node embeddings h.
-
-    Returns the coarse features S^T h (K rows per graph) and the auxiliary
-    loss per graph: cut term -tr(S^T A S)/tr(S^T D S) (0 for edgeless graphs)
-    plus orthogonality ||S^T S / ||S^T S||_F - I/sqrt(K)||_F.
-    """
+    """Soft spectral clustering of each graph's node embeddings h: the
+    assignment S = softmax(h W + b) and the coarse features S^T h (K rows per
+    graph). Training adds `mincut_loss` of S."""
     k = assign_w.cols
     if k < 2:
         raise ConfigError(f"mincut needs at least 2 clusters, got {k}")
     s = T.softmax_rows(T.add(T.matmul(h, assign_w, layout), assign_b))
-    x_coarse = T.transpose_matmul(s, h, layout)
-    a_s = T.propagate(adjacency, s, layout)
+    return s, T.transpose_matmul(s, h, layout)
 
+
+def mincut_loss(s: T.Tensor, adjacency: np.ndarray, layout: T.Layout | None = None) -> T.Tensor:
+    """MinCut's auxiliary loss of the assignment S, one row per graph: the cut
+    term -tr(S^T A S)/tr(S^T D S) (0 for edgeless graphs) plus the
+    orthogonality term ||S^T S / ||S^T S||_F - I/sqrt(K)||_F."""
+    k = s.cols
+    a_s = T.propagate(adjacency, s, layout)
     deg = T.join([a.sum(axis=-1) for a in T.stacks(layout, adjacency, pairwise=True)])
     edges = (T.graph_sums(deg, layout) > 0).astype(np.float64)[:, None]
     num = T.tsum(T.mul(s, a_s), layout)
@@ -120,8 +124,7 @@ def mincut_pool(h: T.Tensor, adjacency: np.ndarray, assign_w: T.Tensor, assign_b
     normed = T.scale_graphs(ss, T.reciprocal(fro), clusters)
     resid = T.add_const(normed, np.tile(-np.eye(k) / math.sqrt(k), (ss.rows // k, 1)))
     ortho = T.sqrt(T.tsum(T.mul(resid, resid), clusters))
-
-    return x_coarse, T.add(cut, ortho)
+    return T.add(cut, ortho)
 
 
 def _clusters(layout: T.Layout | None, k: int) -> T.Layout | None:
@@ -143,9 +146,9 @@ class PoolBackend:
 
     def forward(self, x_prime: T.Tensor, a_prime: np.ndarray, indicator: np.ndarray,
                 layout: T.Layout | None = None):
-        """Returns (h_G, l_pool, selection): one row of h_G and of l_pool per
-        graph (see `tensor.Layout`; one graph without a layout), l_pool None
-        for readout kinds.
+        """Returns (h_G, pool_args, selection): one row of h_G per graph (see
+        `tensor.Layout`; one graph without a layout). `pool_args` holds
+        `mincut_loss`'s inputs (S, A', layout) for MinCut, else None.
 
         `selection` is the keep-mask that reaches the readout: the top-k
         kinds' own selection within `indicator`, else `indicator` itself.
@@ -169,11 +172,10 @@ class PoolBackend:
         if self.kind == "mincut":
             h = gcn_layer(x_prime, self.params["gcn_w"], multiview.propagation(a_prime, layout),
                           layout=layout)
-            x_coarse, l_pool = mincut_pool(h, a_prime, self.params["assign_w"],
-                                           self.params["assign_b"], layout)
-            k = self.params["assign_w"].cols
-            mean = T.Tensor(np.full((x_coarse.rows, 1), 1.0 / k))
-            return T.transpose_matmul(mean, x_coarse, _clusters(layout, k)), l_pool, indicator
+            s, x_coarse = mincut_pool(h, self.params["assign_w"], self.params["assign_b"], layout)
+            mean = T.Tensor(np.full((x_coarse.rows, 1), 1.0 / s.cols))
+            h_g = T.transpose_matmul(mean, x_coarse, _clusters(layout, s.cols))
+            return h_g, (s, a_prime, layout), indicator
         raise ConfigError(f"unknown backend kind '{self.kind}'; valid: {BACKEND_KINDS}")
 
 

@@ -85,8 +85,12 @@ def build_indicator(scores: np.ndarray, c: float = 2.0, layout: T.Layout | None 
     indicators, mus, sigmas = [], [], []
     for s in T.stacks(layout, scores):  # one graph's scores, or (b, n) of a group's
         n = s.shape[-1]
-        mu = s.mean(axis=-1)
-        sigma = s.std(axis=-1)  # population
+        # s.mean() and s.std() (population) as numpy computes them, sharing mu
+        mu = np.add.reduce(s, axis=-1, keepdims=True) / n
+        d = s - mu
+        d *= d
+        sigma = np.sqrt(np.add.reduce(d, axis=-1) / n)
+        mu = mu[..., 0]
         indicator = (s <= (mu + c * sigma)[..., None]).astype(np.float64)
         dropped = n - indicator.sum(axis=-1)
         # Chebyshev: no more than n/c^2 nodes can sit above mu + c*sigma

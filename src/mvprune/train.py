@@ -24,7 +24,8 @@ from .errors import ConfigError, MvpruneError, TrainingDiverged
 from .graphio import Dataset, FeatureScaler, Graph, SplitSpec, split
 from .multiview import (ViewEncoder, ViewPartition, default_overlap_ratio,
                         encode_views_xa, make_partition)
-from .pooling import BACKEND_KINDS, ClassifierHead, PoolBackend, classify, make_backend
+from .pooling import (BACKEND_KINDS, ClassifierHead, PoolBackend, classify, make_backend,
+                      mincut_loss)
 from .prune import (ReconHead, apply_mask, build_indicator, node_scores, recon_losses,
                     reconstruct)
 from .rng import substream
@@ -186,11 +187,11 @@ def build_model(config: TrainConfig, dataset: Dataset, sp: SplitSpec, seed: int)
 
 @dataclass
 class ForwardResult:
-    """One forward over a batch of graphs. Row i of `logits` and `l_pool` is
-    the caller's graph `order[i]`; per-node arrays stack those graphs' nodes
-    in the same order, as `layout` describes (None for a lone graph)."""
+    """One forward over a batch of graphs. Row i of `logits` is the caller's
+    graph `order[i]`; per-node arrays stack those graphs' nodes in the same
+    order, as `layout` describes (None for a lone graph)."""
     logits: T.Tensor
-    l_pool: T.Tensor | None
+    pool_args: tuple | None    # mincut_loss' inputs: S, A', layout (None for other backends)
     scores: np.ndarray | None
     indicator: np.ndarray      # MVP's keep mask
     recon_args: tuple | None   # recon_losses' inputs: A, standardized X, A_hat, X_hat, layout
@@ -233,9 +234,10 @@ def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = N
     else:
         indicator = np.ones(len(x_std))
         x_in, a_in = x_std, adjacency
-    h_g, l_pool, selection = model.backend.forward(T.Tensor(x_in), a_in, indicator, layout)
+    h_g, pool_args, selection = model.backend.forward(T.Tensor(x_in), a_in, indicator, layout)
     logits = classify(h_g, model.classifier)
-    return ForwardResult(logits, l_pool, scores, indicator, recon_args, selection, layout, order)
+    return ForwardResult(logits, pool_args, scores, indicator, recon_args, selection, layout,
+                         order)
 
 
 def forward_graph(model: MvpModel, graph: Graph, use_mvp: bool | None = None,
@@ -247,8 +249,9 @@ def forward_graph(model: MvpModel, graph: Graph, use_mvp: bool | None = None,
 def combined_loss(result: ForwardResult, labels, use_recon: bool = True):
     """Each graph's unweighted sum of the enabled terms (graphs x 1, in the
     result's row order) and the terms as per-graph arrays; disabled terms are
-    not built and add 0. `labels` holds one class per graph in the caller's
-    order, or is one int for a single graph."""
+    not built and add 0. The reconstruction and MinCut losses are built only
+    here, from the forward's `recon_args` and `pool_args`. `labels` holds one
+    class per graph in the caller's order, or is one int for a single graph."""
     labels = np.asarray(labels).reshape(-1)[result.order]
     loss = T.cross_entropy(result.logits, labels)
     zero = np.zeros(len(labels))
@@ -257,34 +260,41 @@ def combined_loss(result: ForwardResult, labels, use_recon: bool = True):
         la, lx, _ = recon_losses(*result.recon_args)
         loss = T.add(T.add(loss, la), lx)
         parts["la"], parts["lx"] = la.values[:, 0], lx.values[:, 0]
-    if result.l_pool is not None:
-        loss = T.add(loss, result.l_pool)
-        parts["pool"] = result.l_pool.values[:, 0]
+    if result.pool_args is not None:
+        l_pool = mincut_loss(*result.pool_args)
+        loss = T.add(loss, l_pool)
+        parts["pool"] = l_pool.values[:, 0]
     return loss, parts
+
+
+def predict(model: MvpModel, graphs: list[Graph], threshold_c: float | None = None):
+    """Each graph's (predicted class, scores or None without MVP, keep
+    indicator, readout selection), in the order of `graphs`, from grad-free
+    forwards of up to `batch_size` graphs of similar size (at `threshold_c` if
+    given, else the configured one)."""
+    by_size = sorted(range(len(graphs)), key=lambda p: graphs[p].n)
+    out, step = [None] * len(graphs), model.config.batch_size
+    with T.no_grad():
+        for start in range(0, len(by_size), step):
+            chunk = by_size[start:start + step]
+            res = forward_batch(model, [graphs[p] for p in chunk], threshold_c=threshold_c)
+            scores = [None] * len(chunk) if res.scores is None else res.per_graph(res.scores)
+            rows = zip(np.argmax(res.logits.values, axis=1), scores,
+                       res.per_graph(res.indicator), res.per_graph(res.selection))
+            for pos, row in zip(res.order, rows):
+                out[chunk[pos]] = row
+    return out
 
 
 def evaluate(model: MvpModel, dataset: Dataset, indices,
              threshold_c: float | None = None):
     """Accuracy over `indices`, and each graph's keep indicator and readout
-    selection, from grad-free forwards of up to `batch_size` graphs of similar
-    size (at `threshold_c` if given, else the configured one)."""
-    indices = list(indices)
-    by_size = sorted(range(len(indices)), key=lambda p: dataset.graphs[indices[p]].n)
-    correct, indicators, selections = 0, [None] * len(indices), [None] * len(indices)
-    step = model.config.batch_size
-    with T.no_grad():
-        for start in range(0, len(by_size), step):
-            chunk = by_size[start:start + step]
-            res = forward_batch(model, [dataset.graphs[indices[p]] for p in chunk],
-                                threshold_c=threshold_c)
-            predicted = np.argmax(res.logits.values, axis=1)
-            rows = zip(res.order, predicted, res.per_graph(res.indicator),
-                       res.per_graph(res.selection))
-            for pos, label, indicator, selection in rows:
-                p = chunk[pos]
-                correct += int(label == dataset.graphs[indices[p]].label)
-                indicators[p], selections[p] = indicator, selection
-    return (correct / len(indices) if indices else 0.0), indicators, selections
+    selection, from `predict`."""
+    graphs = [dataset.graphs[i] for i in indices]
+    rows = predict(model, graphs, threshold_c)
+    correct = sum(int(label == g.label) for (label, *_), g in zip(rows, graphs))
+    return ((correct / len(graphs) if graphs else 0.0), [r[2] for r in rows],
+            [r[3] for r in rows])
 
 
 def pruning_stats(dataset: Dataset, indices, indicators, selections) -> dict:

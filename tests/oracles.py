@@ -3,9 +3,9 @@
 Everything here is deliberately naive (loops, enumeration, finite
 differences) and shares no code with the library paths it checks. The one
 exception is `forward_ref`, the slower forward that the fast one replaced,
-kept as the reference the fast path must match bit for bit, together with the
-unfused tape forms of the fused ops (`gram_sigmoid_ref`, `recon_losses_ref`,
-`cross_entropy_ref`).
+kept as the reference the fast path must match bit for bit (MinCut's loss and
+gradients to 1e-10), together with the unfused tape forms of the fused ops
+(`gram_sigmoid_ref`, `recon_losses_ref`, `cross_entropy_ref`).
 """
 
 import itertools
@@ -184,7 +184,10 @@ def random_graph(rng, n, p=0.4, d=4):
 # normalize inside every GCN call, the sigmoid takes three exps, and the
 # reconstruction losses and the cross-entropy are chains of one-step tape ops
 # (transpose, slice, concatenation, clip, log, exp, sigmoid below), built
-# inside the forward. It runs one graph at a time.
+# inside the forward. The readouts, MinCut (softmax, S^T h, cut and
+# orthogonality terms) and the classifier are built here too, from primitive
+# ops; only scoring, thresholding, masking and `select_topk` come from the
+# library. It runs one graph at a time.
 
 def normalize_adjacency_ref(adjacency):
     """D^-1/2 (A + I) D^-1/2 scaled from an explicit A + I."""
@@ -268,23 +271,78 @@ def _gcn_ref(h, weight, adjacency, activation=T.relu):
     return activation(prop) if activation is not None else prop
 
 
+def _row_sums_ref(a):
+    return T._op(a.values.sum(axis=1, keepdims=True), (a,),
+                 lambda g: T._accum(a, np.repeat(g, a.cols, axis=1)))
+
+
+def _div_rows_ref(a, r):
+    """Each row of a divided by that row's entry of the column r."""
+    def bw(g):
+        T._accum(a, g / r.values)
+        T._accum(r, -(g * a.values / (r.values * r.values)).sum(axis=1, keepdims=True))
+
+    return T._op(a.values / r.values, (a, r), bw)
+
+
+def _softmax_ref(a):
+    e = _exp_ref(T.add_const(a, -a.values.max(axis=1, keepdims=True)))
+    return _div_rows_ref(e, _row_sums_ref(e))
+
+
+def _mean_readout_ref(x, indicator):
+    return T.matmul(T.Tensor((indicator / indicator.sum())[None, :]), x)
+
+
+def _sum_readout_ref(x, indicator):
+    return T.matmul(T.Tensor(indicator[None, :]), x)
+
+
+def _mincut_ref(h, adjacency, assign_w, assign_b):
+    """(S^T h, cut + orthogonality loss) of one graph; no cut term without edges."""
+    k = assign_w.cols
+    s = _softmax_ref(T.add(T.matmul(h, assign_w), assign_b))
+    x_coarse = T.matmul(_transpose_ref(s), h)
+    ss = T.matmul(_transpose_ref(s), s)
+    resid = T.add_const(T.mul(ss, T.reciprocal(T.sqrt(T.tsum(T.mul(ss, ss))))),
+                        -np.eye(k) / np.sqrt(k))
+    loss = T.sqrt(T.tsum(T.mul(resid, resid)))
+    deg = adjacency.sum(axis=1)
+    if deg.sum() > 0:
+        num = T.tsum(T.mul(s, T.matmul(T.Tensor(adjacency), s)))
+        den = T.tsum(T.mul_const(T.mul(s, s), deg[:, None]))
+        loss = T.add(T.scale(T.mul(num, T.reciprocal(den)), -1.0), loss)
+    return x_coarse, loss
+
+
 def _backend_ref(backend, x, a, indicator):
-    """(h_G, l_pool) of `PoolBackend.forward`, normalizing inside each GCN call."""
+    """(h_G, l_pool or None) of `PoolBackend.forward` followed by its MinCut
+    loss, normalizing inside each GCN call."""
     params = backend.params
+    if backend.kind == "mean":
+        return _mean_readout_ref(x, indicator), None
+    if backend.kind == "sum":
+        return _sum_readout_ref(x, indicator), None
     if backend.kind == "gcn-sum":
-        return pooling.masked_sum_readout(_gcn_ref(x, params["w"], a), indicator), None
-    if backend.kind == "attention-topk":
-        score = _gcn_ref(x, params["score_w"], a, activation=None)
+        return _sum_readout_ref(_gcn_ref(x, params["w"], a), indicator), None
+    if backend.kind in ("attention-topk", "feature-topk"):
+        if backend.kind == "attention-topk":
+            score = _gcn_ref(x, params["score_w"], a, activation=None)
+        else:
+            proj = params["proj"]
+            score = T.mul(T.matmul(x, proj), T.reciprocal(T.sqrt(T.tsum(T.mul(proj, proj)))))
         sel = pooling.select_topk(score.values[:, 0], backend.keep_ratio, indicator)
         gate = T.matmul(T.tanh(score), T.Tensor(np.ones((1, x.cols))))
-        return pooling.masked_mean_readout(T.mul_const(T.mul(x, gate), sel[:, None]), sel), None
-    if backend.kind == "mincut":
-        h = _gcn_ref(x, params["gcn_w"], a)
-        x_coarse, l_pool = pooling.mincut_pool(h, a, params["assign_w"], params["assign_b"])
-        k = params["assign_w"].cols
-        return T.matmul(T.Tensor(np.full((1, k), 1.0 / k)), x_coarse), l_pool
-    h_g, l_pool, _ = backend.forward(x, a, indicator)  # no propagation matrix
-    return h_g, l_pool
+        return _mean_readout_ref(T.mul_const(T.mul(x, gate), sel[:, None]), sel), None
+    h = _gcn_ref(x, params["gcn_w"], a)
+    x_coarse, l_pool = _mincut_ref(h, a, params["assign_w"], params["assign_b"])
+    k = params["assign_w"].cols
+    return T.matmul(T.Tensor(np.full((1, k), 1.0 / k)), x_coarse), l_pool
+
+
+def _classify_ref(h_g, head):
+    hidden = T.relu(T.add(T.matmul(h_g, head.w1), head.b1))
+    return T.add(T.matmul(hidden, head.w2), head.b2)
 
 
 def forward_ref(model, graph):
@@ -303,7 +361,7 @@ def forward_ref(model, graph):
     indicator, _, _ = prune.build_indicator(scores, cfg.threshold_c)
     x_in, a_in = prune.apply_mask(x_std, graph.adjacency, indicator)
     h_g, l_pool = _backend_ref(model.backend, T.Tensor(x_in), a_in, indicator)
-    logits = pooling.classify(h_g, model.classifier)
+    logits = _classify_ref(h_g, model.classifier)
     loss = T.add(T.add(cross_entropy_ref(logits, graph.label), la), lx)
     if l_pool is not None:
         loss = T.add(loss, l_pool)

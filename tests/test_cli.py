@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mvprune import cli, train as tr
+from mvprune import cli, prune, tensor as T, train as tr
 from mvprune.errors import ContractError, MvpruneError
 
 
@@ -204,16 +204,43 @@ def test_export_scores(tmp_path, data_dir, run_dir):
 
 
 def test_export_scores_builds_no_tape(tmp_path, data_dir, run_dir, monkeypatch):
-    results, real = [], cli.forward_graph
+    results, real = [], tr.forward_batch
 
     def capturing(*args, **kwargs):
         results.append(real(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(cli, "forward_graph", capturing)
+    monkeypatch.setattr(tr, "forward_batch", capturing)
     assert cli.main(["export-scores", "--dataset", data_dir, "--run", run_dir,
                      "--out", str(tmp_path / "scores.csv")]) == 0
     assert results and all(r.logits._parents == () for r in results)
+
+
+def test_export_scores_forwards_in_batches(tmp_path, data_dir, run_dir, monkeypatch):
+    calls, real = [], tr.forward_batch
+
+    def counting(model, graphs, *args, **kwargs):
+        calls.append(len(graphs))
+        return real(model, graphs, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "forward_batch", counting)
+    out = tmp_path / "scores.csv"
+    assert cli.main(["export-scores", "--dataset", data_dir, "--run", run_dir,
+                     "--out", str(out)]) == 0
+    dataset = cli._load_dataset(data_dir, None)
+    model, config = cli._load_run_model(run_dir, dataset)
+    assert len(calls) == -(-len(dataset) // config.batch_size) and max(calls) > 1
+
+    def lone_rows():
+        for gi, g in enumerate(dataset.graphs):
+            with T.no_grad():
+                res = tr.forward_graph(model, g)
+            for node in range(g.n):
+                yield gi, node, g.degrees[node], res.scores[node], res.indicator[node]
+
+    lone = tmp_path / "lone.csv"
+    prune.export_scores(lone_rows(), str(lone))
+    assert out.read_bytes() == lone.read_bytes()
 
 
 def test_analyze_and_export_use_a_trained_seed(tmp_path, data_dir, monkeypatch):

@@ -102,7 +102,8 @@ def test_mincut_matches_loop_oracle():
         h = T.Tensor(rng.normal(size=(n, 6)))
         w = T.param(rng.normal(size=(6, k)))
         b = T.param(np.zeros((1, k)))
-        x_coarse, l_pool = pooling.mincut_pool(h, adj, w, b)
+        s_t, x_coarse = pooling.mincut_pool(h, w, b)
+        l_pool = pooling.mincut_loss(s_t, adj)
         logits = h.values @ w.values + b.values
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         s = e / e.sum(axis=1, keepdims=True)
@@ -119,7 +120,7 @@ def test_mincut_two_cliques_perfect_assignment():
     h = T.Tensor(np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 3))
     w = T.param(np.eye(2) * 50.0)  # near-hard assignment
     b = T.param(np.zeros((1, 2)))
-    _, l_pool = pooling.mincut_pool(h, adj, w, b)
+    l_pool = pooling.mincut_loss(pooling.mincut_pool(h, w, b)[0], adj)
     assert l_pool.item() == pytest.approx(-1.0, abs=1e-6)
 
 
@@ -127,7 +128,7 @@ def test_mincut_edgeless_cut_is_zero():
     h = T.Tensor(np.random.default_rng(6).normal(size=(4, 3)))
     w = T.param(np.random.default_rng(7).normal(size=(3, 2)))
     b = T.param(np.zeros((1, 2)))
-    _, l_pool = pooling.mincut_pool(h, np.zeros((4, 4)), w, b)
+    l_pool = pooling.mincut_loss(pooling.mincut_pool(h, w, b)[0], np.zeros((4, 4)))
     # only the orthogonality term remains, which is nonnegative
     assert np.isfinite(l_pool.item())
     assert l_pool.item() >= 0.0
@@ -141,7 +142,7 @@ def test_mincut_gradient_vs_finite_differences():
     b = T.param(np.zeros((1, 3)))
 
     def f():
-        return pooling.mincut_pool(h, adj, w, b)[1]
+        return pooling.mincut_loss(pooling.mincut_pool(h, w, b)[0], adj)
 
     T.backward(f())
     fd = finite_diff(lambda: f().item(), [h, w, b])
@@ -152,8 +153,8 @@ def test_mincut_gradient_vs_finite_differences():
 
 def test_mincut_rejects_single_cluster():
     with pytest.raises(ConfigError):
-        pooling.mincut_pool(T.Tensor(np.ones((3, 2))), np.zeros((3, 3)),
-                            T.param(np.ones((2, 1))), T.param(np.zeros((1, 1))))
+        pooling.mincut_pool(T.Tensor(np.ones((3, 2))), T.param(np.ones((2, 1))),
+                            T.param(np.zeros((1, 1))))
 
 
 # -- backends --------------------------------------------------------------
@@ -167,12 +168,12 @@ def test_backend_forward_shapes(kind):
     indicator = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0])
     x_prime = T.mul_const(x, indicator[:, None])
     a_prime = adj * indicator[:, None] * indicator[None, :]
-    h_g, l_pool, sel = backend.forward(x_prime, a_prime, indicator)
+    h_g, pool_args, sel = backend.forward(x_prime, a_prime, indicator)
     assert h_g.shape == (1, backend.out_width)
     if kind in ("mean", "sum", "gcn-sum", "attention-topk", "feature-topk"):
-        assert l_pool is None
+        assert pool_args is None
     else:
-        assert l_pool.shape == (1, 1)
+        assert pooling.mincut_loss(*pool_args).shape == (1, 1)
     if kind in ("attention-topk", "feature-topk"):
         assert set(np.unique(sel)) <= {0.0, 1.0}
         assert np.all(sel <= indicator)  # a subset of the kept nodes
