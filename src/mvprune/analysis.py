@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import train
 from .errors import ContractError
-from .graphio import Dataset, Graph, split
+from .graphio import Dataset, Graph, split, write_csv
+from .pooling import select_topk
 from .prune import build_indicator
 
 HARMONIC_EPS = 1e-9
@@ -77,7 +78,6 @@ def policy_indicator(policy: str, graph: Graph, scores: np.ndarray | None = None
         indicator, _, _ = build_indicator(scores, c)
         return indicator
     if policy == "attention":
-        from .pooling import select_topk
         return select_topk(np.asarray(scores), keep_ratio)
     if policy in ("degree-bottom-10", "degree-bottom-20"):
         frac = 0.1 if policy.endswith("10") else 0.2
@@ -174,25 +174,22 @@ def threshold_sweep(dataset: Dataset, config, multipliers=DEFAULT_MULTIPLIERS,
     at each multiplier; `retrain` runs a full training per point instead and
     reports the mean over seeds.
     """
-    from . import train as train_mod
-
     # building every config first rejects a bad multiplier before any training
     configs = [replace(config, threshold_c=float(c)) for c in multipliers]
     points = []
     if retrain:
         for cfg in configs:
-            report = train_mod.run_trials(cfg, dataset)
+            report = train.run_trials(cfg, dataset)
             points.append(SweepPoint(cfg.threshold_c, report.mean_accuracy,
                                      report.mean_pruned_fraction))
         return points
 
     seed = config.seeds[0]
     sp = split(dataset, seed)
-    model, _ = train_mod.train_one(config, dataset, sp, seed)
+    model, _ = train.train_one(config, dataset, sp, seed)
     for cfg in configs:
-        accuracy, indicators, selections = train_mod.evaluate(model, dataset, sp.test,
-                                                              cfg.threshold_c)
-        stats = train_mod.pruning_stats(dataset, sp.test, indicators, selections)
+        accuracy, indicators, selections = train.evaluate(model, dataset, sp.test, cfg.threshold_c)
+        stats = train.pruning_stats(dataset, sp.test, indicators, selections)
         points.append(SweepPoint(cfg.threshold_c, accuracy, stats["fraction_pruned"]))
     return points
 
@@ -203,31 +200,25 @@ def write_centrality_csv(path: str, dataset: Dataset, keeps_per_policy: dict[str
     """One row per node: graph_id, node_id, degree, betweenness, then one
     pruned_<policy> flag column per policy."""
     policies = sorted(keeps_per_policy)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["graph_id", "node_id", "degree", "betweenness"]
-                        + [f"pruned_{p}" for p in policies])
+
+    def rows():
         for gi, graph in enumerate(dataset.graphs):
             cb = betweenness(graph)
             deg = graph.degrees.astype(int)
             for node in range(graph.n):
-                row = [gi, node, int(deg[node]), "%.17g" % cb[node]]
-                row += [int(keeps_per_policy[p][gi][node] == 0) for p in policies]
-                writer.writerow(row)
+                yield ([gi, node, int(deg[node]), "%.17g" % cb[node]]
+                       + [int(keeps_per_policy[p][gi][node] == 0) for p in policies])
+
+    write_csv(path, ["graph_id", "node_id", "degree", "betweenness"]
+              + [f"pruned_{p}" for p in policies], rows())
 
 
 def write_profile_csv(path: str, rows: list[ProfileRow]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "degree", "nodes", "pruned", "fraction"])
-        for r in rows:
-            writer.writerow([r.policy, r.degree, r.nodes, r.pruned, "%.17g" % r.fraction])
+    write_csv(path, ["policy", "degree", "nodes", "pruned", "fraction"],
+              ([r.policy, r.degree, r.nodes, r.pruned, "%.17g" % r.fraction] for r in rows))
 
 
 def write_sweep_csv(path: str, dataset_name: str, points: list[SweepPoint]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "multiplier", "accuracy", "pruned_fraction"])
-        for p in points:
-            writer.writerow([dataset_name, "%.17g" % p.multiplier,
-                             "%.17g" % p.accuracy, "%.17g" % p.pruned_fraction])
+    write_csv(path, ["dataset", "multiplier", "accuracy", "pruned_fraction"],
+              ([dataset_name, "%.17g" % p.multiplier, "%.17g" % p.accuracy,
+                "%.17g" % p.pruned_fraction] for p in points))

@@ -8,7 +8,7 @@ config is echoed into the run manifest so any run can be reproduced from it
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -18,10 +18,10 @@ import numpy as np
 
 from . import __version__, analysis, train as train_mod
 from .errors import ConfigError, LoadError, MvpruneError
-from .graphio import load_tu, save_anomaly_truth, save_tu, split, synth_planted_anomalies
+from .graphio import load_tu, save_anomaly_truth, save_tu, synth_planted_anomalies, write_csv
 from .pooling import BACKEND_KINDS
 from .prune import export_scores
-from .train import TrainConfig, build_model, run_trials
+from .train import TrainConfig, run_trials
 
 EXIT_OK, EXIT_ERROR, EXIT_CONFIG = 0, 1, 2
 
@@ -46,26 +46,18 @@ def _refuse_nonempty_out(out: str, force: bool):
 
 
 def _resolve_config(args) -> TrainConfig:
-    base: dict = {}
+    config = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-        base = raw.get("config", raw)  # accept a bare config or a manifest
-    flag_map = {"epochs": "epochs", "pretrain_epochs": "pretrain_epochs",
-                "lr": "learning_rate", "batch_size": "batch_size",
-                "lam": "lam", "threshold": "threshold_c", "views": "views",
-                "overlap": "overlap_ratio", "latent_width": "latent_width",
-                "backend": "backend", "keep_ratio": "keep_ratio",
-                "clusters": "clusters"}
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            base[key] = value
-    if getattr(args, "seeds", None) is not None:
-        base["seeds"] = [int(s) for s in args.seeds.split(",")]
-    if getattr(args, "no_mvp", False):
-        base["use_mvp"] = False
-    return TrainConfig.from_dict(base)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if isinstance(config, dict):
+            config = config.get("config", config)  # accept a bare config or a manifest
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(TrainConfig)}
+    return dataclasses.replace(TrainConfig.from_dict(config),
+                               **{k: v for k, v in flags.items() if v is not None})
 
 
 def _write_manifest(out: str, config: TrainConfig, dataset, dataset_path: str,
@@ -85,11 +77,10 @@ def _write_manifest(out: str, config: TrainConfig, dataset, dataset_path: str,
 
 
 def _write_metrics(report, path: str):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["seed", "accuracy", "pruned_fraction",
-                                                "readout_dropped_fraction"])
-        writer.writeheader()
-        writer.writerows(report.metrics_rows())
+    write_csv(path, ["seed", "accuracy", "pruned_fraction", "readout_dropped_fraction"],
+              ([seed, "%.17g" % acc, "%.17g" % ps["fraction_pruned"],
+                "%.17g" % ps["readout_dropped_fraction"]]
+               for seed, acc, ps in zip(report.seeds, report.accuracies, report.prune_stats)))
 
 
 def _scores_and_keeps(model, dataset):
@@ -122,10 +113,8 @@ def _load_run_model(run_dir: str, dataset):
     model_path = os.path.join(run_dir, "models", f"seed{seed}.npz")
     if not os.path.isfile(model_path):
         raise LoadError(f"missing model weights: {model_path}")
-    model = build_model(config, dataset, split(dataset, seed), seed)
     with np.load(model_path) as state:
-        model.load_state_dict(dict(state))
-    return model, config
+        return train_mod.restore_model(config, dataset, seed, dict(state)), config
 
 
 # -- commands --------------------------------------------------------------
@@ -193,8 +182,7 @@ def cmd_sweep(args) -> int:
     config = _resolve_config(args)
     dataset = _load_dataset(args.dataset, args.name)
     _refuse_nonempty_out(args.out, args.force)
-    multipliers = [float(m) for m in args.multipliers.split(",")]
-    points = analysis.threshold_sweep(dataset, config, multipliers, retrain=args.retrain)
+    points = analysis.threshold_sweep(dataset, config, args.multipliers, retrain=args.retrain)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     analysis.write_sweep_csv(path, dataset.name, points)
@@ -213,22 +201,32 @@ def cmd_export_scores(args) -> int:
 
 # -- argument parsing ------------------------------------------------------
 
+def _comma_list(kind):
+    """An argparse type: comma-separated values of `kind`, as a tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(v) for v in text.split(","))
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse names it in its error
+    return parse
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
+    """Each flag's dest is the TrainConfig field it sets; unset flags stay None."""
     p.add_argument("--config", help="JSON config file or a previous run's manifest.json")
     p.add_argument("--epochs", type=int)
     p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--seeds", help="comma-separated seed list")
+    p.add_argument("--seeds", type=_comma_list(int), help="comma-separated seed list")
     p.add_argument("--lam", type=float, help="adjacency/feature score blend")
-    p.add_argument("--threshold", type=float, help="pruning threshold multiplier c")
+    p.add_argument("--threshold", dest="threshold_c", type=float,
+                   help="pruning threshold multiplier c")
     p.add_argument("--views", type=int)
-    p.add_argument("--overlap", type=float)
+    p.add_argument("--overlap", dest="overlap_ratio", type=float)
     p.add_argument("--latent-width", dest="latent_width", type=int)
     p.add_argument("--backend", help=f"one of {', '.join(BACKEND_KINDS)}")
     p.add_argument("--keep-ratio", dest="keep_ratio", type=float)
     p.add_argument("--clusters", type=int)
-    p.add_argument("--no-mvp", dest="no_mvp", action="store_true",
+    p.add_argument("--no-mvp", dest="use_mvp", action="store_false", default=None,
                    help="train the bare backend without the pruning layer")
 
 
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="threshold-multiplier sweep")
     p.add_argument("--dataset", required=True)
     p.add_argument("--name")
-    p.add_argument("--multipliers", default="0.5,1,1.5,2,2.5,3")
+    p.add_argument("--multipliers", type=_comma_list(float), default="0.5,1,1.5,2,2.5,3")
     p.add_argument("--retrain", action="store_true",
                    help="retrain per multiplier instead of re-evaluating")
     p.add_argument("--out", default="mvprune_sweep")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
 from dataclasses import dataclass
@@ -206,6 +207,14 @@ def save_tu(dataset: Dataset, directory: str, name: str | None = None):
                           ("_node_attributes.txt", attr_lines)]:
         with open(pre + suffix, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+
+
+def write_csv(path: str, header, rows):
+    """Write a CSV file: the header, then each row of `rows`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # -- synthetic planted-anomaly corpus --------------------------------------

@@ -24,18 +24,9 @@ class ViewPartition:
     overlap_ratio: float
     seed: int
 
-    @property
-    def d(self) -> int:
-        return len({c for cols in self.columns_per_view for c in cols})
-
     def to_dict(self) -> dict:
         return {"k": self.k, "columns_per_view": self.columns_per_view,
                 "overlap_ratio": self.overlap_ratio, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ViewPartition":
-        return cls(d["k"], [list(map(int, c)) for c in d["columns_per_view"]],
-                   d["overlap_ratio"], d["seed"])
 
 
 def default_overlap_ratio(d: int, k: int) -> float:

@@ -18,6 +18,7 @@ from .errors import ConfigError, ContractError
 from .multiview import gcn_layer
 
 BACKEND_KINDS = ("mean", "sum", "gcn-sum", "attention-topk", "feature-topk", "mincut")
+BACKEND_WIDTH = 32  # the output width of the gcn-sum and mincut backends
 
 
 # -- readouts --------------------------------------------------------------
@@ -66,25 +67,24 @@ def select_topk(scores: np.ndarray, keep_ratio: float, eligible: np.ndarray | No
     return sel
 
 
-def attention_topk_pool(x: T.Tensor, adjacency: np.ndarray, keep_ratio: float,
-                        score_weight: T.Tensor, eligible: np.ndarray | None = None,
-                        layout: T.Layout | None = None):
-    """Self-attention pruning: a 1-output GCN scores nodes, the top fraction
-    survives, and kept features are gated by tanh(score) so the score weight
-    receives gradient. Returns (gated kept features, selection)."""
-    score = gcn_layer(x, score_weight, multiview.propagation(adjacency, layout),
-                      activation=None, layout=layout)
-    sel = select_topk(score.values[:, 0], keep_ratio, eligible, layout)
-    gate = T.matmul(T.tanh(score), T.Tensor(np.ones((1, x.cols))))
-    return T.mul_const(T.mul(x, gate), sel[:, None]), sel
+def attention_score(x: T.Tensor, adjacency: np.ndarray, weight: T.Tensor,
+                    layout: T.Layout | None = None) -> T.Tensor:
+    """Self-attention node score (SAGPool): a 1-output GCN of x, n x 1."""
+    return gcn_layer(x, weight, multiview.propagation(adjacency, layout), activation=None,
+                     layout=layout)
 
 
-def feature_topk_pool(x: T.Tensor, keep_ratio: float, projection: T.Tensor,
-                      eligible: np.ndarray | None = None, layout: T.Layout | None = None):
-    """TopK-style pruning: score = X p / ||p||, gated by tanh. Returns
-    (gated kept features, selection)."""
+def feature_score(x: T.Tensor, projection: T.Tensor, layout: T.Layout | None = None) -> T.Tensor:
+    """TopK node score (Graph U-Nets): X p / ||p||, n x 1."""
     p_norm = T.sqrt(T.tsum(T.mul(projection, projection)))
-    score = T.mul(T.matmul(x, projection, layout), T.reciprocal(p_norm))  # n x 1
+    return T.mul(T.matmul(x, projection, layout), T.reciprocal(p_norm))
+
+
+def topk_pool(x: T.Tensor, score: T.Tensor, keep_ratio: float,
+              eligible: np.ndarray | None = None, layout: T.Layout | None = None):
+    """Top-k pruning by an n x 1 score: each graph's top fraction survives,
+    and kept features are gated by tanh(score) so the score's weights receive
+    gradient. Returns (gated kept features, selection)."""
     sel = select_topk(score.values[:, 0], keep_ratio, eligible, layout)
     gate = T.matmul(T.tanh(score), T.Tensor(np.ones((1, x.cols))))
     return T.mul_const(T.mul(x, gate), sel[:, None]), sel
@@ -96,7 +96,12 @@ def mincut_pool(h: T.Tensor, assign_w: T.Tensor, assign_b: T.Tensor,
                 layout: T.Layout | None = None):
     """Soft spectral clustering of each graph's node embeddings h: the
     assignment S = softmax(h W + b) and the coarse features S^T h (K rows per
-    graph). Training adds `mincut_loss` of S."""
+    graph). Training adds `mincut_loss` of S.
+
+    The backend's readout, the mean of the K coarse rows, is (1/K) 1^T S^T h
+    = sum_i h_i / K, since every row of S sums to 1: the assignment never
+    reaches the logits and learns from `mincut_loss` alone. MinCutPool
+    (Bianchi et al., ICML 2020) runs further layers on (S^T X, S^T A S)."""
     k = assign_w.cols
     if k < 2:
         raise ConfigError(f"mincut needs at least 2 clusters, got {k}")
@@ -141,9 +146,6 @@ class PoolBackend:
     params: dict = field(default_factory=dict)          # name -> Tensor
     keep_ratio: float = 0.75
 
-    def parameters(self):
-        return list(self.params.values())
-
     def forward(self, x_prime: T.Tensor, a_prime: np.ndarray, indicator: np.ndarray,
                 layout: T.Layout | None = None):
         """Returns (h_G, pool_args, selection): one row of h_G per graph (see
@@ -152,6 +154,7 @@ class PoolBackend:
 
         `selection` is the keep-mask that reaches the readout: the top-k
         kinds' own selection within `indicator`, else `indicator` itself.
+        MinCut's h_G does not depend on its assignment S (see `mincut_pool`).
         """
         if self.kind == "mean":
             return masked_mean_readout(x_prime, indicator, layout), None, indicator
@@ -161,13 +164,11 @@ class PoolBackend:
             h = gcn_layer(x_prime, self.params["w"], multiview.propagation(a_prime, layout),
                           layout=layout)
             return masked_sum_readout(h, indicator, layout), None, indicator
-        if self.kind == "attention-topk":
-            x_kept, sel = attention_topk_pool(
-                x_prime, a_prime, self.keep_ratio, self.params["score_w"], indicator, layout)
-            return masked_mean_readout(x_kept, sel, layout), None, sel
-        if self.kind == "feature-topk":
-            x_kept, sel = feature_topk_pool(
-                x_prime, self.keep_ratio, self.params["proj"], indicator, layout)
+        if self.kind in ("attention-topk", "feature-topk"):
+            score = (attention_score(x_prime, a_prime, self.params["score_w"], layout)
+                     if self.kind == "attention-topk" else
+                     feature_score(x_prime, self.params["proj"], layout))
+            x_kept, sel = topk_pool(x_prime, score, self.keep_ratio, indicator, layout)
             return masked_mean_readout(x_kept, sel, layout), None, sel
         if self.kind == "mincut":
             h = gcn_layer(x_prime, self.params["gcn_w"], multiview.propagation(a_prime, layout),
@@ -179,23 +180,22 @@ class PoolBackend:
         raise ConfigError(f"unknown backend kind '{self.kind}'; valid: {BACKEND_KINDS}")
 
 
-def make_backend(kind: str, in_width: int, rng: np.random.Generator, hidden: int = 32,
+def make_backend(kind: str, in_width: int, rng: np.random.Generator,
                  keep_ratio: float = 0.75, clusters: int = 4) -> PoolBackend:
     if kind in ("mean", "sum"):
         return PoolBackend(kind, in_width)
     if kind == "gcn-sum":
-        return PoolBackend(kind, hidden, {"w": T.param(None, rng, (in_width, hidden))})
-    if kind == "attention-topk":
-        return PoolBackend(kind, in_width, {"score_w": T.param(None, rng, (in_width, 1))},
-                           keep_ratio=keep_ratio)
-    if kind == "feature-topk":
-        return PoolBackend(kind, in_width, {"proj": T.param(None, rng, (in_width, 1))},
+        return PoolBackend(kind, BACKEND_WIDTH,
+                           {"w": T.param(None, rng, (in_width, BACKEND_WIDTH))})
+    if kind in ("attention-topk", "feature-topk"):
+        name = "score_w" if kind == "attention-topk" else "proj"
+        return PoolBackend(kind, in_width, {name: T.param(None, rng, (in_width, 1))},
                            keep_ratio=keep_ratio)
     if kind == "mincut":
-        params = {"gcn_w": T.param(None, rng, (in_width, hidden)),
-                  "assign_w": T.param(None, rng, (hidden, clusters)),
+        params = {"gcn_w": T.param(None, rng, (in_width, BACKEND_WIDTH)),
+                  "assign_w": T.param(None, rng, (BACKEND_WIDTH, clusters)),
                   "assign_b": T.param(np.zeros((1, clusters)))}
-        return PoolBackend(kind, hidden, params)
+        return PoolBackend(kind, BACKEND_WIDTH, params)
     raise ConfigError(f"unknown backend kind '{kind}'; valid: {BACKEND_KINDS}")
 
 
@@ -213,9 +213,6 @@ class ClassifierHead:
              rng: np.random.Generator) -> "ClassifierHead":
         return cls(T.param(None, rng, (in_width, hidden)), T.param(np.zeros((1, hidden))),
                    T.param(None, rng, (hidden, n_classes)), T.param(np.zeros((1, n_classes))))
-
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
 
 
 def classify(h_g: T.Tensor, head: ClassifierHead) -> T.Tensor:

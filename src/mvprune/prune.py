@@ -11,7 +11,6 @@ reconstruction losses.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError
+from .graphio import write_csv
 
 LOG_EPS = 1e-7  # clamp for sigmoid outputs before taking logs
 
@@ -131,8 +131,6 @@ def export_scores(rows, path: str):
 
     `rows` yields (graph_id, node_id, degree, score, kept) tuples.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["graph_id", "node_id", "degree", "score", "kept"])
-        for graph_id, node_id, degree, score, kept in rows:
-            writer.writerow([graph_id, node_id, int(degree), "%.17g" % score, int(kept)])
+    write_csv(path, ["graph_id", "node_id", "degree", "score", "kept"],
+              ([graph_id, node_id, int(degree), "%.17g" % score, int(kept)]
+               for graph_id, node_id, degree, score, kept in rows))

@@ -429,9 +429,6 @@ def reciprocal(a: Tensor) -> Tensor:
 def tsum(a: Tensor, layout: Layout | None = None) -> Tensor:
     """Reduce all entries to a 1x1 scalar; with a layout, each graph's rows to
     one row of a graphs x 1 column."""
-    if layout is None:
-        return _op(a.values.sum().reshape(1, 1), (a,),
-                   lambda g: _accum(a, np.full(a.shape, g[0, 0])))
     _check(layout, a.rows)
     runs = _runs(layout, a.values.size, a.cols)
     return _op(_segment_sums(a.values.reshape(-1), runs)[:, None], (a,),

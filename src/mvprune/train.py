@@ -31,6 +31,13 @@ from .prune import (ReconHead, apply_mask, build_indicator, node_scores, recon_l
 from .rng import substream
 
 
+def _is(value, kind) -> bool:
+    """isinstance for config values: an int is also a float, a bool is neither."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 200
@@ -51,20 +58,33 @@ class TrainConfig:
     use_recon_loss: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1:
-            raise ConfigError("learning_rate and batch_size must be positive")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
+        ints = ["epochs", "pretrain_epochs", "batch_size", "views", "latent_width",
+                "classifier_hidden"] + (["clusters"] if self.clusters is not None else [])
+        reals = ["learning_rate", "lam", "threshold_c", "keep_ratio"] + (
+            ["overlap_ratio"] if self.overlap_ratio is not None else [])
+        for name in ints + reals + ["use_mvp", "use_recon_loss"]:
+            kind = int if name in ints else float if name in reals else bool
+            if not _is(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if not (isinstance(self.seeds, (list, tuple)) and self.seeds
+                and all(_is(s, int) for s in self.seeds)):
+            raise ConfigError(f"seeds must be a non-empty list of ints, got {self.seeds!r}")
+        self.seeds = tuple(self.seeds)
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if min(self.batch_size, self.views, self.latent_width, self.classifier_hidden) < 1:
+            raise ConfigError(f"batch_size, views, latent_width and classifier_hidden must be "
+                              f"at least 1, got {self.batch_size}, {self.views}, "
+                              f"{self.latent_width} and {self.classifier_hidden}")
+        if self.epochs < 0 or self.pretrain_epochs < 0:
+            raise ConfigError(f"epochs and pretrain_epochs must be >= 0, "
+                              f"got {self.epochs} and {self.pretrain_epochs}")
+        if self.clusters is not None and self.clusters < 2:
+            raise ConfigError(f"clusters must be at least 2, got {self.clusters}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
         if not (math.isfinite(self.threshold_c) and self.threshold_c > 0):
             raise ConfigError(f"threshold_c must be finite and > 0, got {self.threshold_c}")
-        if self.views < 1 or self.latent_width < 1:
-            raise ConfigError(f"views and latent_width must be at least 1, "
-                              f"got {self.views} and {self.latent_width}")
-        if self.epochs < 0 or self.pretrain_epochs < 0:
-            raise ConfigError(f"epochs and pretrain_epochs must be >= 0, "
-                              f"got {self.epochs} and {self.pretrain_epochs}")
         if not 0.0 < self.keep_ratio <= 1.0:
             raise ConfigError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
         if self.backend not in BACKEND_KINDS:
@@ -78,6 +98,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config is a JSON object, got {type(d).__name__}")
         # removed keys load only at the one value they ever took, so run
         # manifests written before their removal still load
         removed = {"backend_hidden": 32, "aux_loss_weight": 1.0, "use_pool_loss": True,
@@ -90,10 +112,7 @@ class TrainConfig:
                                   f"former default {removed[key]!r}, got {d[key]!r}")
             if key not in known and key not in removed:
                 raise ConfigError(f"unknown config key '{key}'")
-        d = {k: v for k, v in d.items() if k not in removed}
-        if "seeds" in d:
-            d["seeds"] = tuple(int(s) for s in d["seeds"])
-        return cls(**d)
+        return cls(**{k: v for k, v in d.items() if k not in removed})
 
 
 class Adam:
@@ -185,6 +204,13 @@ def build_model(config: TrainConfig, dataset: Dataset, sp: SplitSpec, seed: int)
                     FeatureScaler.fit(dataset, sp.train), dataset.num_classes)
 
 
+def restore_model(config: TrainConfig, dataset: Dataset, seed: int, state) -> MvpModel:
+    """The model trained at `seed`, from its `state_dict`."""
+    model = build_model(config, dataset, split(dataset, seed), seed)
+    model.load_state_dict(state)
+    return model
+
+
 @dataclass
 class ForwardResult:
     """One forward over a batch of graphs. Row i of `logits` is the caller's
@@ -229,7 +255,9 @@ def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = N
         recon_args = (adjacency, x_std, a_hat, x_hat, layout)
         scores = node_scores(adjacency, x_std, a_hat.values, x_hat.values, cfg.lam, layout)
         indicator, _, _ = build_indicator(scores, c, layout)
-        # straight-through: the indicator enters the task path only as a constant
+        # a stop-gradient, not a straight-through estimator: the indicator is a
+        # constant mask, so the task loss sends no gradient to the scorer (the
+        # encoder and reconstruction head), which learns from La and Lx alone
         x_in, a_in = apply_mask(x_std, adjacency, indicator, layout)
     else:
         indicator = np.ones(len(x_std))
@@ -408,12 +436,6 @@ class TrialReport:
                 "failures": self.failures, "prune_stats": self.prune_stats,
                 "partitions": self.partitions, "traces": self.traces}
 
-    def metrics_rows(self) -> list[dict]:
-        return [{"seed": s, "accuracy": "%.17g" % a,
-                 "pruned_fraction": "%.17g" % ps["fraction_pruned"],
-                 "readout_dropped_fraction": "%.17g" % ps["readout_dropped_fraction"]}
-                for s, a, ps in zip(self.seeds, self.accuracies, self.prune_stats)]
-
 
 def _trial(config: TrainConfig, dataset: Dataset, seed: int) -> dict:
     try:
@@ -463,9 +485,7 @@ def run_trials(config: TrainConfig, dataset: Dataset,
         report.partitions.append(res["partition"])
         report.prune_stats.append(res["prune_stats"])
         if return_models:
-            model = build_model(config, dataset, split(dataset, res["seed"]), res["seed"])
-            model.load_state_dict(res["state"])
-            models.append(model)
+            models.append(restore_model(config, dataset, res["seed"], res["state"]))
     if return_models:
         return report, models
     return report

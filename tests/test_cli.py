@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -79,6 +80,68 @@ def test_unknown_backend_is_config_error(tmp_path, data_dir, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "magic" in err and "mincut" in err
+
+
+# every flag of _add_config_flags: its argument, TrainConfig field and parsed value
+CONFIG_FLAGS = {"--epochs": ("1", "epochs", 1), "--pretrain-epochs": ("0", "pretrain_epochs", 0),
+                "--lr": ("0.01", "learning_rate", 0.01), "--batch-size": ("4", "batch_size", 4),
+                "--seeds": ("3,5", "seeds", [3, 5]), "--lam": ("0.25", "lam", 0.25),
+                "--threshold": ("1.5", "threshold_c", 1.5), "--views": ("2", "views", 2),
+                "--overlap": ("0.5", "overlap_ratio", 0.5),
+                "--latent-width": ("6", "latent_width", 6),
+                "--backend": ("mincut", "backend", "mincut"),
+                "--keep-ratio": ("0.5", "keep_ratio", 0.5), "--clusters": ("3", "clusters", 3),
+                "--no-mvp": (None, "use_mvp", False)}
+
+
+def test_every_config_flag_reaches_the_manifest(tmp_path, data_dir):
+    parser = argparse.ArgumentParser()
+    cli._add_config_flags(parser)
+    dests = {a.option_strings[0]: a.dest for a in parser._actions
+             if a.dest not in ("help", "config")}
+    assert dests == {flag: field for flag, (_, field, _) in CONFIG_FLAGS.items()}
+    argv = [part for flag, (arg, _, _) in CONFIG_FLAGS.items()
+            for part in ([flag] if arg is None else [flag, arg])]
+    out = tmp_path / "flags"
+    assert cli.main(["train", "--dataset", data_dir, "--out", str(out)] + argv) == 0
+    with open(out / "manifest.json") as fh:
+        config = json.load(fh)["config"]
+    assert {field: config[field] for _, field, _ in CONFIG_FLAGS.values()} == \
+        {field: value for _, field, value in CONFIG_FLAGS.values()}
+
+
+@pytest.mark.parametrize("flags", [["--lr", "nan", "--epochs", "1", "--pretrain-epochs", "0"],
+                                   ["--lr", "inf"], ["--backend", "mincut", "--clusters", "-2"],
+                                   ["--backend", "mincut", "--clusters", "1"]])
+def test_bad_flag_values_are_config_errors(tmp_path, data_dir, capsys, flags):
+    rc = cli.main(["train", "--dataset", data_dir, "--out", str(tmp_path / "x")]
+                  + SMALL_FLAGS + flags)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("text", [json.dumps(c) for c in (
+    {"classifier_hidden": 0}, {"epochs": 1.5}, {"batch_size": 2.5}, {"seeds": "0,1"},
+    [["epochs", 1]])] + ["{not json", None])
+def test_bad_config_files_are_config_errors(tmp_path, data_dir, capsys, text):
+    path = tmp_path / "bad.json"
+    if text is not None:  # None: the file is missing
+        path.write_text(text)
+    rc = cli.main(["train", "--dataset", data_dir, "--out", str(tmp_path / "x"),
+                   "--config", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["train", "--seeds", "a,b"],
+                                  ["sweep", "--multipliers", "1,abc"]])
+def test_bad_list_flags_are_usage_errors(tmp_path, data_dir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--dataset", data_dir, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err and argv[2] in err
 
 
 def test_unknown_config_key_is_config_error(tmp_path, data_dir, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -53,7 +54,9 @@ def test_partition_rejects_bad_args():
 
 def test_partition_dict_roundtrip():
     p = mv.make_partition(12, 4, 0.25, seed=5)
-    assert mv.ViewPartition.from_dict(p.to_dict()).columns_per_view == p.columns_per_view
+    assert p.to_dict() == {"k": 4, "columns_per_view": p.columns_per_view,
+                           "overlap_ratio": 0.25, "seed": 5}
+    assert json.loads(json.dumps(p.to_dict())) == p.to_dict()  # as report.json stores it
 
 
 def test_default_overlap_ratio():

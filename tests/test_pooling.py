@@ -57,7 +57,7 @@ def test_attention_topk_keeps_high_scores():
     adj, _ = random_graph(rng, 8)
     x = T.Tensor(rng.normal(size=(8, 4)))
     w = T.param(rng.normal(size=(4, 1)))
-    x_kept, sel = pooling.attention_topk_pool(x, adj, 0.5, w)
+    x_kept, sel = pooling.topk_pool(x, pooling.attention_score(x, adj, w), 0.5)
     a_hat = adj + np.eye(8)
     d = 1.0 / np.sqrt(a_hat.sum(axis=1))
     scores = (d[:, None] * a_hat * d[None, :] @ (x.values @ w.values))[:, 0]
@@ -76,7 +76,7 @@ def test_attention_topk_gradient_reaches_score_weight():
     adj, _ = random_graph(rng, 6)
     x = T.Tensor(rng.normal(size=(6, 3)))
     w = T.param(rng.normal(size=(3, 1)))
-    x_kept, sel = pooling.attention_topk_pool(x, adj, 0.75, w)
+    x_kept, sel = pooling.topk_pool(x, pooling.attention_score(x, adj, w), 0.75)
     out = pooling.masked_mean_readout(x_kept, sel)
     T.backward(T.tsum(T.mul(out, out)))
     assert w.grad is not None and np.abs(w.grad).sum() > 0
@@ -86,7 +86,7 @@ def test_feature_topk_score_is_normalized_projection():
     rng = np.random.default_rng(4)
     x = T.Tensor(rng.normal(size=(7, 5)))
     p = T.param(rng.normal(size=(5, 1)))
-    x_kept, sel = pooling.feature_topk_pool(x, 0.5, p)
+    x_kept, sel = pooling.topk_pool(x, pooling.feature_score(x, p), 0.5)
     scores = (x.values @ p.values / np.linalg.norm(p.values))[:, 0]
     assert sel.sum() == 4  # ceil(0.5 * 7)
     assert scores[sel == 1].min() >= scores[sel == 0].max()
@@ -164,12 +164,13 @@ def test_backend_forward_shapes(kind):
     rng = np.random.default_rng(9)
     adj, _ = random_graph(rng, 8)
     x = T.Tensor(rng.normal(size=(8, 6)))
-    backend = pooling.make_backend(kind, 6, rng, hidden=5, clusters=3)
+    backend = pooling.make_backend(kind, 6, rng, clusters=3)
     indicator = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 1.0])
     x_prime = T.mul_const(x, indicator[:, None])
     a_prime = adj * indicator[:, None] * indicator[None, :]
     h_g, pool_args, sel = backend.forward(x_prime, a_prime, indicator)
     assert h_g.shape == (1, backend.out_width)
+    assert backend.out_width == (pooling.BACKEND_WIDTH if kind in ("gcn-sum", "mincut") else 6)
     if kind in ("mean", "sum", "gcn-sum", "attention-topk", "feature-topk"):
         assert pool_args is None
     else:
@@ -201,7 +202,7 @@ def test_mean_backend_permutation_invariant():
 def test_classifier_uniform_logits_give_log_c():
     rng = np.random.default_rng(11)
     head = pooling.ClassifierHead.init(4, 8, 3, rng)
-    for t in head.parameters():
+    for t in (head.w1, head.b1, head.w2, head.b2):
         t.values[:] = 0.0  # all-zero weights force uniform logits
     logits = pooling.classify(T.Tensor(np.ones((1, 4))), head)
     ce = T.cross_entropy(logits, 0)

@@ -81,7 +81,33 @@ def test_config_validation():
                 dict(backend="magic")):
         with pytest.raises(ConfigError):
             tr.TrainConfig(**bad)
+    for bad in (dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+                dict(epochs=1.5), dict(batch_size=2.5), dict(views=True),
+                dict(clusters=-2), dict(clusters=1), dict(clusters=2.0),
+                dict(classifier_hidden=0), dict(seeds="0,1"), dict(seeds=(0, 1.0)),
+                dict(seeds=3), dict(lam="0.5"), dict(overlap_ratio="x"), dict(use_mvp="no")):
+        with pytest.raises(ConfigError):
+            tr.TrainConfig(**bad)
+    with pytest.raises(ConfigError, match="JSON object"):
+        tr.TrainConfig.from_dict([["epochs", 1]])
     tr.TrainConfig(keep_ratio=1.0, epochs=0, pretrain_epochs=0, views=1, latent_width=1)
+    assert tr.TrainConfig(seeds=[2, 1], clusters=2, learning_rate=1).seeds == (2, 1)
+
+
+def test_restore_model_reproduces_evaluate(corpus):
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend="mincut", seeds=(1,)))
+    sp = split(corpus, 1)
+    model, _ = tr.train_one(cfg, corpus, sp, 1)
+    restored = tr.restore_model(cfg, corpus, 1, model.state_dict())
+    acc, indicators, selections = tr.evaluate(model, corpus, sp.test)
+    acc_r, indicators_r, selections_r = tr.evaluate(restored, corpus, sp.test)
+    assert acc_r == acc
+    assert all(np.array_equal(a, b) for a, b in zip(indicators_r + selections_r,
+                                                    indicators + selections))
+    graphs = [corpus.graphs[i] for i in sp.test]
+    with T.no_grad():
+        logits = [tr.forward_batch(m, graphs).logits.values for m in (model, restored)]
+    assert np.array_equal(*logits)
 
 
 def test_adam_decreases_quadratic():
@@ -151,7 +177,8 @@ def test_uniform_classifier_gives_log_c(corpus):
     cfg = tr.TrainConfig.from_dict(dict(SMALL, use_mvp=False))
     sp = split(corpus, 0)
     model = tr.build_model(cfg, corpus, sp, seed=0)
-    for p in model.classifier.parameters():
+    head = model.classifier
+    for p in (head.w1, head.b1, head.w2, head.b2):
         p.values[:] = 0.0
     res = tr.forward_graph(model, corpus.graphs[0])
     loss, _ = tr.combined_loss(res, 0)
