@@ -209,6 +209,13 @@ def _comma_list(kind):
     return parse
 
 
+def _at_least_one(text: str) -> int:
+    """An argparse type: an int of at least 1."""
+    if not text.lstrip("-").isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"needs an int of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
     """Each flag's dest is the TrainConfig field it sets; unset flags stay None."""
     p.add_argument("--config", help="JSON config file or a previous run's manifest.json")
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", help="TU dataset name (default: directory basename)")
     p.add_argument("--out", default="mvprune_out")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least_one, default=1)
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -25,6 +25,8 @@ class Graph:
         a, x = self.adjacency, self.features
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise FormatError(f"adjacency must be square, got {a.shape}")
+        if a.shape[0] == 0:
+            raise FormatError("a graph needs at least one node")
         if x.ndim != 2 or x.shape[0] != a.shape[0]:
             raise FormatError(f"features {x.shape} do not match {a.shape[0]} nodes")
         if not np.array_equal(a, a.T):
@@ -111,6 +113,8 @@ def load_tu(directory: str, name: str) -> Dataset:
 
     n_total = len(indicator)
     n_graphs = len(graph_labels_raw)
+    if n_graphs == 0:
+        raise FormatError(f"{name}_graph_labels.txt lists no graphs")
 
     # global -> (graph id, local index)
     local = np.zeros(n_total, dtype=np.int64)
@@ -237,6 +241,9 @@ def synth_planted_anomalies(n_graphs: int, nodes_per_graph: int, anomaly_fractio
     """
     if not 0.0 <= anomaly_fraction < 0.5:
         raise ConfigError(f"anomaly_fraction must be in [0, 0.5), got {anomaly_fraction}")
+    if min(n_graphs, nodes_per_graph, n_classes, n_features) < 1:
+        raise ConfigError(f"graph, node, class and feature counts must be at least 1, got "
+                          f"{n_graphs}, {nodes_per_graph}, {n_classes} and {n_features}")
     rng = substream(seed, "synth")
     center = 1.5
     n_signal = min(2, n_features)  # class signal lives in a few dims only

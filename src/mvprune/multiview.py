@@ -91,11 +91,10 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return prop
 
 
-def propagation(adjacency: np.ndarray, layout: T.Layout | None = None) -> np.ndarray:
-    """`normalize_adjacency` of each graph's block, shaped like `adjacency`:
-    n x n without a layout, else flat (see `tensor.Layout`)."""
-    return T.join([normalize_adjacency(a) for a in T.stacks(layout, adjacency, pairwise=True)]
-                  ).reshape(adjacency.shape)
+def propagation(adjacency: np.ndarray, layout: T.Layout) -> np.ndarray:
+    """`normalize_adjacency` of each graph's block, shaped like `adjacency`
+    (see `tensor.Layout`)."""
+    return layout.map(normalize_adjacency, adjacency, pairwise=1).reshape(adjacency.shape)
 
 
 def gcn_layer(h: T.Tensor, weight: T.Tensor, propagation: np.ndarray,
@@ -110,13 +109,14 @@ def encode_views_xa(x: np.ndarray, adjacency: np.ndarray, partition: ViewPartiti
     """Latent matrix Z: column-concatenation of the per-view GCN outputs, each
     a bias-free linear embedding of the view's columns followed by one graph
     convolution with ReLU. With a layout, `x` stacks a batch's nodes and
-    `adjacency` holds its blocks flat."""
+    `adjacency` holds its blocks flat; without one they are one graph's."""
     if len(partition.columns_per_view) != len(encoder.embed_weights):
         raise ContractError("partition and encoder view counts differ")
     for cols, w_embed in zip(partition.columns_per_view, encoder.embed_weights):
         if len(cols) != w_embed.rows:
             raise ContractError(
                 f"view expects {w_embed.rows} columns, partition provides {len(cols)}")
+    layout = T.as_layout(layout, len(x))
     return T.gcn_views(x, partition.columns_per_view, encoder.embed_weights,
                        encoder.gcn_weights, propagation(adjacency, layout),  # one for every view
                        layout)

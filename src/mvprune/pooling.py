@@ -28,11 +28,11 @@ def masked_mean_readout(x_prime: T.Tensor, indicator: np.ndarray,
     """Mean over each graph's kept rows only; the denominator is the kept
     count, not n. One row per graph."""
     ind = np.asarray(indicator, dtype=np.float64)
-    kept = T.graph_sums(ind, layout)
+    layout = T.as_layout(layout, len(ind))
+    kept = layout.graph_sums(ind)
     if kept.min() < 1:
         raise ContractError("mean readout needs at least one kept node")
-    spread = kept if layout is None else np.repeat(kept, layout.sizes)
-    return T.transpose_matmul(T.Tensor((ind / spread)[:, None]), x_prime, layout)
+    return T.transpose_matmul(T.Tensor((ind / layout.spread(kept))[:, None]), x_prime, layout)
 
 
 def masked_sum_readout(x_prime: T.Tensor, indicator: np.ndarray,
@@ -56,9 +56,8 @@ def select_topk(scores: np.ndarray, keep_ratio: float, eligible: np.ndarray | No
     else:
         eligible = np.asarray(eligible) > 0
         masked[~eligible] = -np.inf
-    sel = np.zeros(n)
-    for m, e, out in zip(T.stacks(layout, masked), T.stacks(layout, eligible),
-                         T.stacks(layout, sel)):  # one graph, or (b, n) of a group
+    sel, stacks = np.zeros(n), T.as_layout(layout, n).stacks
+    for m, e, out in zip(stacks(masked), stacks(eligible), stacks(sel)):  # per group of graphs
         n_keep = np.ceil(keep_ratio * e.sum(axis=-1))
         # a stable sort of the negated scores: score desc, then index asc
         order = np.argsort(-m, axis=-1, kind="stable")
@@ -70,6 +69,7 @@ def select_topk(scores: np.ndarray, keep_ratio: float, eligible: np.ndarray | No
 def attention_score(x: T.Tensor, adjacency: np.ndarray, weight: T.Tensor,
                     layout: T.Layout | None = None) -> T.Tensor:
     """Self-attention node score (SAGPool): a 1-output GCN of x, n x 1."""
+    layout = T.as_layout(layout, len(x.values))
     return gcn_layer(x, weight, multiview.propagation(adjacency, layout), activation=None,
                      layout=layout)
 
@@ -86,7 +86,7 @@ def topk_pool(x: T.Tensor, score: T.Tensor, keep_ratio: float,
     and kept features are gated by tanh(score) so the score's weights receive
     gradient. Returns (gated kept features, selection)."""
     sel = select_topk(score.values[:, 0], keep_ratio, eligible, layout)
-    gate = T.matmul(T.tanh(score), T.Tensor(np.ones((1, x.cols))))
+    gate = T.matmul(T.tanh(score), T.Tensor(np.ones((1, x.cols))), layout)
     return T.mul_const(T.mul(x, gate), sel[:, None]), sel
 
 
@@ -114,27 +114,23 @@ def mincut_loss(s: T.Tensor, adjacency: np.ndarray, layout: T.Layout | None = No
     term -tr(S^T A S)/tr(S^T D S) (0 for edgeless graphs) plus the
     orthogonality term ||S^T S / ||S^T S||_F - I/sqrt(K)||_F."""
     k = s.cols
+    layout = T.as_layout(layout, len(s.values))
     a_s = T.propagate(adjacency, s, layout)
-    deg = T.join([a.sum(axis=-1) for a in T.stacks(layout, adjacency, pairwise=True)])
-    edges = (T.graph_sums(deg, layout) > 0).astype(np.float64)[:, None]
+    deg = layout.map(lambda a: a.sum(axis=-1), adjacency, pairwise=1)
+    edges = (layout.graph_sums(deg) > 0).astype(np.float64)[:, None]
     num = T.tsum(T.mul(s, a_s), layout)
     den = T.tsum(T.mul_const(T.mul(s, s), deg[:, None]), layout)
     # an edgeless graph's 0/0 becomes 0/1: its cut term and gradients are 0
     ratio = T.mul(num, T.reciprocal(T.add_const(den, 1.0 - edges)))
     cut = T.scale(ratio, -1.0)
 
-    clusters = _clusters(layout, k)
+    clusters = T.layout_of((k,) * len(layout.sizes))  # S^T S has k rows per graph
     ss = T.transpose_matmul(s, s, layout)
     fro = T.sqrt(T.tsum(T.mul(ss, ss), clusters))
     normed = T.scale_graphs(ss, T.reciprocal(fro), clusters)
     resid = T.add_const(normed, np.tile(-np.eye(k) / math.sqrt(k), (ss.rows // k, 1)))
     ortho = T.sqrt(T.tsum(T.mul(resid, resid), clusters))
     return T.add(cut, ortho)
-
-
-def _clusters(layout: T.Layout | None, k: int) -> T.Layout | None:
-    """The layout of S^T h: k rows per graph."""
-    return None if layout is None else T.Layout((k,) * layout.graphs)
 
 
 # -- backends --------------------------------------------------------------
@@ -156,6 +152,7 @@ class PoolBackend:
         kinds' own selection within `indicator`, else `indicator` itself.
         MinCut's h_G does not depend on its assignment S (see `mincut_pool`).
         """
+        layout = T.as_layout(layout, len(x_prime.values))
         if self.kind == "mean":
             return masked_mean_readout(x_prime, indicator, layout), None, indicator
         if self.kind == "sum":
@@ -175,7 +172,7 @@ class PoolBackend:
                           layout=layout)
             s, x_coarse = mincut_pool(h, self.params["assign_w"], self.params["assign_b"], layout)
             mean = T.Tensor(np.full((x_coarse.rows, 1), 1.0 / s.cols))
-            h_g = T.transpose_matmul(mean, x_coarse, _clusters(layout, s.cols))
+            h_g = T.transpose_matmul(mean, x_coarse, T.layout_of((s.cols,) * len(layout.sizes)))
             return h_g, (s, a_prime, layout), indicator
         raise ConfigError(f"unknown backend kind '{self.kind}'; valid: {BACKEND_KINDS}")
 
@@ -219,6 +216,6 @@ def classify(h_g: T.Tensor, head: ClassifierHead) -> T.Tensor:
     """Logits, one row per graph; each row is computed on its own (see `tensor.Layout`)."""
     if h_g.cols != head.w1.rows:
         raise ContractError(f"classifier expects width {head.w1.rows}, got {h_g.cols}")
-    rows = T.Layout((1,) * h_g.rows) if h_g.rows > 1 else None
+    rows = T.layout_of((1,) * h_g.rows)
     hidden = T.relu(T.add(T.matmul(h_g, head.w1, rows), head.b1))
     return T.add(T.matmul(hidden, head.w2, rows), head.b2)

@@ -36,7 +36,7 @@ class ReconHead:
 
 def reconstruct(z: T.Tensor, head: ReconHead, layout: T.Layout | None = None):
     """A_hat = sigmoid(Z Z^T) (symmetric by construction), X_hat = ReLU(Z W + b).
-    With a layout, A_hat holds each graph's block flat (see `tensor.Layout`)."""
+    A batch's A_hat holds each graph's block flat (see `tensor.Layout`)."""
     a_hat = T.gram_sigmoid(z, layout)
     x_hat = T.relu(T.add(T.matmul(z, head.weight, layout), head.bias))
     return a_hat, x_hat
@@ -46,7 +46,7 @@ def recon_losses(adjacency: np.ndarray, features: np.ndarray,
                  a_hat: T.Tensor, x_hat: T.Tensor, layout: T.Layout | None = None):
     """(La, Lx, Lr): mean edge NLL over the full n x n grid (A_hat clipped to
     [LOG_EPS, 1 - LOG_EPS]), mean squared feature error, and their sum, each
-    1x1, or with a layout one row per graph. All three stay on the tape."""
+    one row per graph (a 1x1 for one graph). All three stay on the tape."""
     if a_hat.values.size != adjacency.size or x_hat.shape != features.shape:
         raise ContractError(
             f"reconstruction shapes {a_hat.shape}/{x_hat.shape} do not match "
@@ -58,20 +58,21 @@ def recon_losses(adjacency: np.ndarray, features: np.ndarray,
 
 def node_scores(adjacency: np.ndarray, features: np.ndarray, a_hat: np.ndarray,
                 x_hat: np.ndarray, lam: float = 0.5, layout: T.Layout | None = None) -> np.ndarray:
-    """Per-node blend of squared adjacency-row and feature-row residuals. With a
-    layout, `adjacency` and `a_hat` hold each graph's block flat."""
+    """Per-node blend of squared adjacency-row and feature-row residuals. A
+    batch's `adjacency` and `a_hat` hold each graph's block flat."""
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda must be in [0, 1], got {lam}")
-    adj_err = T.join([((a - p) ** 2).sum(axis=-1) for a, p in
-                      zip(T.stacks(layout, adjacency, True), T.stacks(layout, a_hat, True))])
+    layout = T.as_layout(layout, len(features))
+    adj_err = layout.map(lambda a, p: ((a - p) ** 2).sum(axis=-1), adjacency, a_hat,
+                         pairwise=2)
     feat_err = ((features - x_hat) ** 2).sum(axis=1)
     return lam * adj_err + (1.0 - lam) * feat_err
 
 
 def build_indicator(scores: np.ndarray, c: float = 2.0, layout: T.Layout | None = None):
     """Keep node i iff score_i <= mu + c*sigma (population sigma) of its graph;
-    boundary keeps. Returns the indicator and mu and sigma: floats for one
-    graph, one entry per graph with a layout.
+    boundary keeps. Returns the indicator, and mu and sigma with one entry
+    per graph.
 
     Equivalent to thresholding sigmoid(-s + mu + c*sigma) at 0.5. Equal
     scores keep every node: their rounded mean can land an ulp below them,
@@ -82,16 +83,16 @@ def build_indicator(scores: np.ndarray, c: float = 2.0, layout: T.Layout | None 
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size < 1:
         raise ContractError("build_indicator needs at least one score")
+    layout = T.as_layout(layout, len(scores))
     indicators, mus, sigmas = [], [], []
-    for s in T.stacks(layout, scores):  # one graph's scores, or (b, n) of a group's
+    for s in layout.stacks(scores):  # a group's scores, a row per graph if it has several
         n = s.shape[-1]
         # s.mean() and s.std() (population) as numpy computes them, sharing mu
         mu = np.add.reduce(s, axis=-1, keepdims=True) / n
         d = s - mu
         d *= d
-        sigma = np.sqrt(np.add.reduce(d, axis=-1) / n)
-        mu = mu[..., 0]
-        indicator = (s <= (mu + c * sigma)[..., None]).astype(np.float64)
+        sigma = np.sqrt(np.add.reduce(d, axis=-1, keepdims=True) / n)
+        indicator = (s <= mu + c * sigma).astype(np.float64)
         dropped = n - indicator.sum(axis=-1)
         # Chebyshev: no more than n/c^2 nodes can sit above mu + c*sigma
         bound = math.floor(n / (c * c))
@@ -102,12 +103,10 @@ def build_indicator(scores: np.ndarray, c: float = 2.0, layout: T.Layout | None 
             if dropped.max() > bound:
                 raise ContractError(f"dropped {int(dropped.max())} of {n} nodes, "
                                     f"violating the Chebyshev bound")
-        if layout is None:
-            return indicator, float(mu), float(sigma)
         indicators.append(indicator)
         mus.append(mu)
         sigmas.append(sigma)
-    return T.join(indicators), T.join(mus), T.join(sigmas)
+    return layout.join(indicators), layout.join(mus), layout.join(sigmas)
 
 
 def apply_mask(features: np.ndarray, adjacency: np.ndarray, indicator: np.ndarray,
@@ -120,9 +119,9 @@ def apply_mask(features: np.ndarray, adjacency: np.ndarray, indicator: np.ndarra
     ind = np.asarray(indicator, dtype=np.float64)
     if ind.shape != (features.shape[0],):
         raise ContractError(f"indicator length {ind.shape} != node count {features.shape[0]}")
+    layout = T.as_layout(layout, len(ind))
     keep = ind[:, None]
-    a_prime = T.join([a * m * m.swapaxes(-1, -2) for a, m in
-                      zip(T.stacks(layout, adjacency, True), T.stacks(layout, keep))])
+    a_prime = layout.map(lambda a, m: a * m * m.swapaxes(-1, -2), adjacency, keep, pairwise=1)
     return features * keep, a_prime.reshape(adjacency.shape)
 
 

@@ -11,8 +11,8 @@ A batch of graphs is one tensor whose rows stack the graphs' nodes, as a
 `Layout` describes; pairwise data (A, A_hat) holds the graphs' n x n blocks
 flat. The ops that take a layout (weight products, propagation, the Gram
 sigmoid, the losses, sums and per-graph products) work graph by graph inside
-one tape node, so a batch builds one tape. Without a layout a tensor is one
-graph and these ops are plain 2-D ones.
+one tape node, so a batch builds one tape. A lone graph is a batch of one,
+which these ops assume when given no layout.
 
 The fused ops `gcn_views` (the multi-view encoder), `gram_sigmoid`
 (sigmoid(Z Z^T)), `clipped_bce`, `mse` and `cross_entropy` are one tape node
@@ -25,6 +25,7 @@ exactly so shape bugs fail loudly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -45,17 +46,18 @@ class Group(NamedTuple):
 
 
 class Layout:
-    """Which rows of a tensor belong to which graph of a batch.
-
-    Graph g owns the next `sizes[g]` rows. Adjacent graphs of one size form a
-    `Group`, whose rows reshape to a (b, n, ...) stack (see `stacks`).
-    np.matmul multiplies a stack graph by graph with the BLAS call a lone
-    graph gets, so a graph's forward values do not depend on the batch it is
-    in, and nothing is padded. Pairwise data is stored flat, block after
-    block, and a group's blocks reshape to (b, n, n).
+    """Which rows of a tensor belong to which graph of a batch; a lone graph
+    is a batch of one. Graph g owns the next `sizes[g]` rows. Adjacent graphs
+    of one size form a `Group`, whose rows reshape to a (b, n, ...) stack (see
+    `stacks`). np.matmul multiplies a stack graph by graph with the BLAS call
+    a lone graph gets, so a graph's forward values do not depend on the batch
+    it is in, and nothing is padded. Pairwise data is stored flat, block after
+    block, and a group's blocks reshape to (b, n, n). Only these methods know
+    how a batch is cut into graphs; a lone graph's arrays are not cut at all:
+    they keep their shapes, its pairwise arrays n x n.
     """
 
-    __slots__ = ("sizes", "groups", "rows", "pairs")
+    __slots__ = ("sizes", "groups", "rows", "pairs", "_lone")
 
     def __init__(self, sizes):
         sizes = [int(n) for n in sizes]
@@ -69,78 +71,83 @@ class Layout:
             self.groups.append(Group(n, b, graph, row, pair))
             graph, row, pair = graph + b, row + b * n, pair + b * n * n
         self.rows, self.pairs = row, pair
+        self._lone = row if len(sizes) == 1 else 0  # a lone graph's node count
 
-    @property
-    def graphs(self) -> int:
-        return len(self.sizes)
+    def stacks(self, a: np.ndarray, pairwise: bool = False,
+               rows: int | None = None) -> list[np.ndarray]:
+        """Views of a batch array, one per group, for numpy to work on graph by
+        graph: a per-node array's rows (`rows` per graph if given) as a (b, n,
+        ...) stack, or a pairwise array's blocks as (b, n, n). A lone graph's
+        array comes back as it is."""
+        if self._lone:
+            return [a]
+        if pairwise:
+            flat = a.reshape(-1)
+            return [flat[grp.pair:grp.pair + grp.b * grp.n * grp.n].reshape(grp.b, grp.n, grp.n)
+                    for grp in self.groups]
+        out = []
+        for grp in self.groups:
+            m, first = (grp.n, grp.row) if rows is None else (rows, grp.graph * rows)
+            out.append(a[first:first + grp.b * m].reshape((grp.b, m) + a.shape[1:]))
+        return out
+
+    def join(self, parts: list[np.ndarray], cols: int | None = None) -> np.ndarray:
+        """Per-group (or per-graph) arrays back in one array, flat or in rows
+        of `cols` columns; a lone graph's part as it is."""
+        if self._lone:
+            return parts[0]
+        flat = np.concatenate([p.reshape(-1) for p in parts]) if len(parts) > 1 else parts[0]
+        return flat.reshape(-1) if cols is None else flat.reshape(-1, cols)
+
+    def map(self, fn, *arrays: np.ndarray, args: tuple = (), cols: int | None = None,
+            pairwise: int = 0) -> np.ndarray:
+        """fn(*stacks, *args) of each group's stacks of `arrays` (the first
+        `pairwise` of them pairwise), rejoined; for a lone graph fn(*arrays, *args)."""
+        if self._lone:
+            return fn(*arrays, *args)
+        stacks = [self.stacks(a, i < pairwise) for i, a in enumerate(arrays)]
+        return self.join([fn(*xs, *args) for xs in zip(*stacks)], cols)
 
     def split(self, a: np.ndarray) -> list[np.ndarray]:
         """A per-node array cut into one array per graph."""
         return np.split(a, np.cumsum(self.sizes)[:-1])
 
+    def runs(self, size: int, per_node: int | None = None) -> list[tuple[int, int]]:
+        """(graphs, entries per graph) of each group of a per-graph array of
+        `size` entries: `per_node` entries per node, or n per node for
+        pairwise data (None). A lone graph has all `size` entries."""
+        if self._lone:
+            return [(1, size)]
+        runs = [(grp.b, grp.n * (grp.n if per_node is None else per_node)) for grp in self.groups]
+        if sum(count * length for count, length in runs) != size:
+            raise ShapeError(f"{size} entries do not fit a layout of sizes {self.sizes.tolist()}")
+        return runs
 
-def stacks(layout: Layout | None, a: np.ndarray, pairwise: bool = False) -> list[np.ndarray]:
-    """Views of a batch array, one per group, for numpy to work on graph by
-    graph: the rows of a per-node array as a (b, n, ...) stack, or with
-    `pairwise` the blocks of a flat pairwise array as (b, n, n). Without a
-    layout `a` is one graph's array and comes back as it is."""
+    def spread(self, per_graph: np.ndarray, per_node: int = 1) -> np.ndarray:
+        """Each graph's value repeated over its rows' `per_node` entries, flat."""
+        return per_graph.repeat(self.sizes * per_node)
+
+    def graph_sums(self, a: np.ndarray) -> np.ndarray:
+        """Each graph's sum over all entries of its rows of a per-node array."""
+        if self._lone:
+            return np.add.reduce(a.reshape(1, -1), 1)
+        flat, out, start = a.reshape(-1), [], 0
+        for count, length in self.runs(a.size, a.size // len(a)):
+            out.append(np.add.reduce(flat[start:start + count * length].reshape(count, length), 1))
+            start += count * length
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+
+layout_of = functools.lru_cache(maxsize=512)(Layout)  # one Layout per size tuple, never changed
+
+
+def as_layout(layout: Layout | None, rows: int, check: bool = True) -> Layout:
+    """`layout` (covering `rows` rows if `check`), or else a lone graph's of `rows` nodes."""
     if layout is None:
-        return [a]
-    if pairwise:
-        flat = a.reshape(-1)
-        return [flat[grp.pair:grp.pair + grp.b * grp.n * grp.n].reshape(grp.b, grp.n, grp.n)
-                for grp in layout.groups]
-    return [a[grp.row:grp.row + grp.b * grp.n].reshape((grp.b, grp.n) + a.shape[1:])
-            for grp in layout.groups]
-
-
-def join(parts: list[np.ndarray], cols: int | None = None) -> np.ndarray:
-    """Per-group results back in one array: rows of `cols` columns, else flat."""
-    shape = (-1,) if cols is None else (-1, cols)
-    if len(parts) == 1:
-        return parts[0].reshape(shape)
-    return np.concatenate([p.reshape(shape) for p in parts])
-
-
-def graph_sums(a: np.ndarray, layout: Layout | None = None) -> np.ndarray:
-    """Each graph's sum over all entries of its rows of a per-node array."""
-    if layout is None:
-        return a.sum().reshape(1)
-    return _segment_sums(a.reshape(-1), _runs(layout, a.size, a.size // max(len(a), 1)))
-
-
-def _check(layout: Layout | None, rows: int):
-    if layout is not None and layout.rows != rows:
+        return layout_of((rows,))
+    if check and layout.rows != rows:
         raise ShapeError(f"layout covers {layout.rows} rows, tensor has {rows}")
-
-
-def _segment_sums(flat: np.ndarray, runs) -> np.ndarray:
-    """Sums of consecutive segments of `flat`: `runs` lists (segments, length)."""
-    out, start = [], 0
-    for count, length in runs:
-        stop = start + count * length
-        out.append(flat[start:stop].reshape(count, length).sum(axis=1))
-        start = stop
-    return out[0] if len(out) == 1 else np.concatenate(out)
-
-
-def _runs(layout: Layout | None, size: int, per_node: int | None):
-    """(graphs, entries per graph) per group: `per_node` entries per node, or
-    n per node for pairwise data (None); one graph of `size` entries without
-    a layout."""
-    if layout is None:
-        return [(1, size)]
-    return [(grp.b, grp.n * (grp.n if per_node is None else per_node)) for grp in layout.groups]
-
-
-def _lengths(runs) -> np.ndarray:
-    """The entry count of each segment of `runs`."""
-    return np.repeat([length for _, length in runs], [count for count, _ in runs])
-
-
-def _spread(per_graph: np.ndarray, runs) -> np.ndarray:
-    """Each segment's value repeated over its entries (flat)."""
-    return np.repeat(per_graph, _lengths(runs))
+    return layout
 
 
 class Tensor:
@@ -235,16 +242,12 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False):
 # -- primitives ------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor, layout: Layout | None = None) -> Tensor:
-    """a @ b. With a layout, each graph's rows of `a` are multiplied on their
-    own, so they get the values a lone graph gets; the backward is the same
-    either way."""
+    """a @ b, each graph's rows of `a` multiplied on their own, so they get
+    the values a lone graph gets; the backward is one plain product."""
     if a.cols != b.rows:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    if layout is None:
-        values = a.values @ b.values
-    else:
-        _check(layout, a.rows)
-        values = join([np.matmul(x, b.values) for x in stacks(layout, a.values)], b.cols)
+    layout = as_layout(layout, len(a.values))
+    values = layout.map(np.matmul, a.values, args=(b.values,), cols=b.cols)
 
     def bw(g):
         if a.requires_grad:
@@ -256,21 +259,15 @@ def matmul(a: Tensor, b: Tensor, layout: Layout | None = None) -> Tensor:
 
 
 def propagate(pairs: np.ndarray, h: Tensor, layout: Layout | None = None) -> Tensor:
-    """Each graph's n x n block of the constant `pairs` times its rows of h:
-    the block-diagonal product. `pairs` is n x n without a layout, else flat."""
-    if layout is None:
-        if pairs.shape != (h.rows, h.rows):
-            raise ShapeError(f"propagate: {pairs.shape} @ {h.shape}")
-        return _op(pairs @ h.values, (h,), lambda g: _accum(h, pairs.T @ g))
-    _check(layout, h.rows)
+    """Each graph's block of the constant pairwise array times its rows of h."""
+    layout = as_layout(layout, len(h.values))
     if pairs.size != layout.pairs:
         raise ShapeError(f"propagate: {pairs.size} pairwise entries for {layout.pairs}")
-    blocks = stacks(layout, pairs, pairwise=True)
-    values = join([p @ x for p, x in zip(blocks, stacks(layout, h.values))], h.cols)
+    values = layout.map(np.matmul, pairs, h.values, cols=h.cols, pairwise=1)
 
     def bw(g):
-        _accum(h, join([p.swapaxes(1, 2) @ x for p, x in zip(blocks, stacks(layout, g))],
-                       h.cols))
+        _accum(h, layout.map(lambda p, x: p.swapaxes(-1, -2) @ x, pairs, g, cols=h.cols,
+                             pairwise=1))
 
     return _op(values, (h,), bw)
 
@@ -286,18 +283,14 @@ def gcn_views(x: np.ndarray, columns: list[list[int]], embeds: list[Tensor],
     width, rows = gcns[0].cols, len(x)
     if any(g.shape != (width, width) or e.cols != width for e, g in zip(embeds, gcns)):
         raise ShapeError("gcn_views: every view needs the same output width")
-    if layout is None:  # one graph: one group of one
-        groups = [(0, 1, rows, pairs.reshape(1, rows, rows))]
-    else:
-        _check(layout, rows)
-        groups = [(grp.row, grp.b, grp.n, p) for grp, p in
-                  zip(layout.groups, stacks(layout, pairs, pairwise=True))]
+    layout = as_layout(layout, rows)
+    blocks = layout.stacks(pairs, pairwise=True)
 
     def per_graph(fn, a):
-        """fn(P, rows) of each group's (b, n, n) propagation matrices and its
-        (views, b, n, cols) rows of `a` (views x rows x cols), rows rejoined."""
-        parts = [fn(p, a[:, row:row + b * n].reshape(len(a), b, n, -1)).reshape(len(a), b * n, -1)
-                 for row, b, n, p in groups]
+        """fn(P, rows) of each group's propagation matrices and its (views, b,
+        n, cols) rows of `a` (views x rows x cols), rows rejoined."""
+        parts = [fn(p, a[:, grp.row:grp.row + grp.b * grp.n].reshape(len(a), grp.b, grp.n, -1))
+                 .reshape(len(a), grp.b * grp.n, -1) for grp, p in zip(layout.groups, blocks)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     stacked = []  # (views, inputs, embedded, activation) per input width
@@ -310,10 +303,10 @@ def gcn_views(x: np.ndarray, columns: list[list[int]], embeds: list[Tensor],
         embedded = per_graph(lambda p, a: a @ embed_w, x3)
         pre = per_graph(lambda p, a: p @ (a @ gcn_w), embedded)
         stacked.append((views, x3, embedded, np.where(pre > 0.0, pre, 0.0)))
-    out = np.empty((rows, width * len(columns)))
+    out = np.empty((rows, len(columns), width))
     for views, _, _, act in stacked:
-        for v, h in zip(views, act):
-            out[:, v * width:(v + 1) * width] = h
+        out[:, views] = act.transpose(1, 0, 2)
+    out = out.reshape(rows, -1)
 
     def bw(g):
         for views, x3, embedded, act in stacked:
@@ -333,22 +326,16 @@ def transpose_matmul(a: Tensor, b: Tensor, layout: Layout | None = None) -> Tens
     """a_g^T @ b_g for each graph g, stacked: (graphs * a.cols) x b.cols."""
     if a.rows != b.rows:
         raise ShapeError(f"transpose_matmul: {a.shape}^T @ {b.shape}")
-    k = a.cols
-    if layout is None:
-        values = a.values.T @ b.values
-    else:
-        _check(layout, a.rows)
-        values = join([x.swapaxes(1, 2) @ y for x, y in
-                       zip(stacks(layout, a.values), stacks(layout, b.values))], b.cols)
+    layout = as_layout(layout, len(a.values))
+    values = layout.map(lambda x, y: x.swapaxes(-1, -2) @ y, a.values, b.values, cols=b.cols)
 
     def bw(g):
-        gs = [g] if layout is None else [g[grp.graph * k:(grp.graph + grp.b) * k]
-                                         .reshape(grp.b, k, -1) for grp in layout.groups]
+        gs = layout.stacks(g, rows=a.cols)
         if a.requires_grad:
-            _accum(a, join([(gg @ y.swapaxes(-1, -2)).swapaxes(-1, -2)
-                            for gg, y in zip(gs, stacks(layout, b.values))], k))
+            _accum(a, layout.join([(gg @ y.swapaxes(-1, -2)).swapaxes(-1, -2)
+                                   for gg, y in zip(gs, layout.stacks(b.values))], a.cols))
         if b.requires_grad:
-            _accum(b, join([x @ gg for x, gg in zip(stacks(layout, a.values), gs)], b.cols))
+            _accum(b, layout.join([x @ gg for x, gg in zip(layout.stacks(a.values), gs)], b.cols))
 
     return _op(values, (a, b), bw)
 
@@ -427,28 +414,24 @@ def reciprocal(a: Tensor) -> Tensor:
 
 
 def tsum(a: Tensor, layout: Layout | None = None) -> Tensor:
-    """Reduce all entries to a 1x1 scalar; with a layout, each graph's rows to
-    one row of a graphs x 1 column."""
-    _check(layout, a.rows)
-    runs = _runs(layout, a.values.size, a.cols)
-    return _op(_segment_sums(a.values.reshape(-1), runs)[:, None], (a,),
-               lambda g: _accum(a, _spread(g[:, 0], runs).reshape(a.shape)))
+    """Each graph's entries summed: a graphs x 1 column (1x1 for one graph)."""
+    layout = as_layout(layout, len(a.values))
+    return _op(layout.graph_sums(a.values)[:, None], (a,),
+               lambda g: _accum(a, layout.spread(g[:, 0], a.cols).reshape(a.shape)))
 
 
 def scale_graphs(a: Tensor, w: Tensor, layout: Layout | None = None) -> Tensor:
-    """Each graph's rows of a times that graph's entry of the graphs x 1
-    tensor w (a 1x1 scalar for one graph)."""
-    _check(layout, a.rows)
-    graphs = 1 if layout is None else layout.graphs
-    if w.shape != (graphs, 1):
-        raise ShapeError(f"scale_graphs: {w.shape} weights for {graphs} graphs")
-    spread = w.values if layout is None else np.repeat(w.values, layout.sizes, axis=0)
+    """Each graph's rows of a times that graph's entry of the graphs x 1 tensor w."""
+    layout = as_layout(layout, len(a.values))
+    if w.shape != (len(layout.sizes), 1):
+        raise ShapeError(f"scale_graphs: {w.shape} weights for {len(layout.sizes)} graphs")
+    spread = layout.spread(w.values[:, 0])[:, None]
 
     def bw(g):
         if a.requires_grad:
             _accum(a, g * spread)
         if w.requires_grad:
-            _accum(w, graph_sums(g * a.values, layout)[:, None])
+            _accum(w, layout.graph_sums(g * a.values)[:, None])
 
     return _op(a.values * spread, (a, w), bw)
 
@@ -463,13 +446,12 @@ def softmax_rows(a: Tensor) -> Tensor:
 # -- fused ops -------------------------------------------------------------
 
 def gram_sigmoid(z: Tensor, layout: Layout | None = None) -> Tensor:
-    """sigmoid(Z Z^T) of each graph, symmetric by construction: n x n without a
-    layout, else the blocks flat in one row. Backward: dG @ Z + (Z^T @ dG)^T
-    with dG = g * s * (1 - s)."""
-    _check(layout, z.rows)
-    zs = stacks(layout, z.values)
+    """sigmoid(Z Z^T) of each graph, symmetric by construction: the blocks flat
+    in one row (a lone graph's n x n). Backward: dG @ Z + (Z^T @ dG)^T with
+    dG = g * s * (1 - s)."""
+    layout = as_layout(layout, len(z.values))
     blocks = []
-    for z3 in zs:
+    for z3 in layout.stacks(z.values):
         x = z3 @ z3.swapaxes(-1, -2)
         # branch on sign so exp never overflows: 1 / (1 + e) for x >= 0, else
         # e / (1 + e), with e = exp(-|x|); computed in place
@@ -481,44 +463,43 @@ def gram_sigmoid(z: Tensor, layout: Layout | None = None) -> Tensor:
         np.divide(1.0, denom, out=denom)
         np.copyto(block, denom, where=x >= 0)
         blocks.append(block)
-    s = blocks[0] if layout is None else join(blocks).reshape(1, -1)
+    s = layout.join(blocks, layout.pairs)
 
     def bw(g):
-        parts = []
-        for z3, s3, g3 in zip(zs, stacks(layout, s, True), stacks(layout, g, True)):
+        def grad(s3, g3, z3):
             dg = g3 * s3 * (1.0 - s3)
-            parts.append(dg @ z3 + (z3.swapaxes(-1, -2) @ dg).swapaxes(-1, -2))
-        _accum(z, join(parts, z.cols))
+            return dg @ z3 + (z3.swapaxes(-1, -2) @ dg).swapaxes(-1, -2)
+        _accum(z, layout.map(grad, s, g, z.values, cols=z.cols, pairwise=2))
 
     return _op(s, (z,), bw)
 
 
 def clipped_bce(p: Tensor, target, eps: float, layout: Layout | None = None) -> Tensor:
     """Mean binary cross-entropy of probabilities p against target T:
-    -sum(log(c) T + log(1 - c) (1 - T)) / size with c = clip(p, eps, 1 - eps).
-    Without a layout p is one graph's entries, in any shape, and the result is
-    1x1; with one, p and T hold each graph's n x n block flat and the result
-    has one row per graph. No gradient reaches p where the clip is active.
+    -sum(log(c) T + log(1 - c) (1 - T)) / size with c = clip(p, eps, 1 - eps),
+    one row per graph. p and T hold each graph's n x n block flat; without a
+    layout they are one graph's entries, in any shape. No gradient reaches p
+    where the clip is active.
 
     Only p and T are kept: the backward recomputes c, 1 - c, 1 - T and the
     clip mask from them, one size group at a time and in place, so its
     scratch memory is a few copies of the largest group's blocks."""
     target = np.asarray(target, dtype=np.float64)
-    if target.size != p.values.size or (layout is not None and layout.pairs != target.size):
+    if target.size != p.values.size:
         raise ShapeError(f"clipped_bce: target {target.shape} != probabilities {p.shape}")
-    runs = _runs(layout, target.size, None)
-    s = -1.0 / _lengths(runs)
+    layout = as_layout(layout, len(p.values), check=False)
 
     def groups(*arrays):
-        """Each array's entries per group as (graphs, entries per graph)."""
+        """Each group's -1 / (entries per graph), and each array's entries as
+        (graphs, entries per graph)."""
         flats, start = [a.reshape(-1) for a in arrays], 0
-        for count, length in runs:
+        for count, length in layout.runs(target.size):
             stop = start + count * length
-            yield [f[start:stop].reshape(count, length) for f in flats]
+            yield -1.0 / length, [f[start:stop].reshape(count, length) for f in flats]
             start = stop
 
     totals = []
-    for pg, tg in groups(p.values, target):
+    for s, (pg, tg) in groups(p.values, target):
         c = np.clip(pg, eps, 1.0 - eps)
         terms = np.log(c)
         terms *= tg
@@ -527,13 +508,12 @@ def clipped_bce(p: Tensor, target, eps: float, layout: Layout | None = None) -> 
         np.log(c, out=c)
         c *= 1.0 - tg
         terms += c
-        totals.append(terms.sum(axis=1))
+        totals.append(terms.sum(axis=1) * s)
 
     def bw(g):
         grad, first = np.empty(p.shape), 0
-        scale = g[:, 0] * s
-        for pg, tg, out in groups(p.values, target, grad):
-            full = scale[first:first + len(pg), None]  # each graph's g * s, broadcast
+        for s, (pg, tg, out) in groups(p.values, target, grad):
+            full = g[first:first + len(pg)] * s  # each graph's g * s, broadcast
             first += len(pg)
             c = np.clip(pg, eps, 1.0 - eps)
             np.multiply(full, tg, out=out)
@@ -548,25 +528,24 @@ def clipped_bce(p: Tensor, target, eps: float, layout: Layout | None = None) -> 
             out *= (pg > eps) & (pg < 1.0 - eps)
         _accum(p, grad, fresh=True)
 
-    return _op((join(totals) * s)[:, None], (p,), bw)
+    return _op(layout.join(totals)[:, None], (p,), bw)
 
 
 def mse(x: Tensor, target, layout: Layout | None = None) -> Tensor:
-    """Mean squared error sum((target - x)^2) / size: 1x1 without a layout,
-    else one row per graph over its rows."""
+    """Mean squared error sum((target - x)^2) / size over each graph's rows,
+    one row per graph."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != x.shape:
         raise ShapeError(f"mse: target {target.shape} != input {x.shape}")
-    _check(layout, x.rows)
-    runs = _runs(layout, target.size, x.cols)
-    s = 1.0 / _lengths(runs)
+    layout = as_layout(layout, len(x.values))
+    s = 1.0 / (layout.sizes * x.cols)
     diff = x.values * -1.0 + target
 
     def bw(g):
-        gd = _spread(g[:, 0] * s, runs).reshape(x.shape) * diff
+        gd = layout.spread(g[:, 0] * s, x.cols).reshape(x.shape) * diff
         _accum(x, (gd + gd) * -1.0)
 
-    return _op((_segment_sums((diff * diff).reshape(-1), runs) * s)[:, None], (x,), bw)
+    return _op((layout.graph_sums(diff * diff) * s)[:, None], (x,), bw)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

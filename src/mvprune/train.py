@@ -213,21 +213,21 @@ def restore_model(config: TrainConfig, dataset: Dataset, seed: int, state) -> Mv
 
 @dataclass
 class ForwardResult:
-    """One forward over a batch of graphs. Row i of `logits` is the caller's
-    graph `order[i]`; per-node arrays stack those graphs' nodes in the same
-    order, as `layout` describes (None for a lone graph)."""
+    """One forward over a batch of graphs, a lone graph being a batch of one.
+    Row i of `logits` is the caller's graph `order[i]`; per-node arrays stack
+    those graphs' nodes in the same order, as `layout` describes."""
     logits: T.Tensor
     pool_args: tuple | None    # mincut_loss' inputs: S, A', layout (None for other backends)
     scores: np.ndarray | None
     indicator: np.ndarray      # MVP's keep mask
     recon_args: tuple | None   # recon_losses' inputs: A, standardized X, A_hat, X_hat, layout
     selection: np.ndarray      # the keep mask that reaches the readout
-    layout: T.Layout | None
+    layout: T.Layout
     order: list[int]
 
     def per_graph(self, values: np.ndarray) -> list[np.ndarray]:
         """A per-node array cut into one array per graph, in row order."""
-        return [values] if self.layout is None else self.layout.split(values)
+        return self.layout.split(values)
 
 
 def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = None,
@@ -238,15 +238,11 @@ def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = N
     if use_mvp is None:
         use_mvp = cfg.use_mvp
     c = cfg.threshold_c if threshold_c is None else threshold_c
-    if len(graphs) == 1:  # a lone graph takes the plain 2-D ops
-        layout, order = None, [0]
-        adjacency, x = graphs[0].adjacency, graphs[0].features
-    else:
-        order = sorted(range(len(graphs)), key=lambda i: graphs[i].n)
-        graphs = [graphs[i] for i in order]
-        layout = T.Layout([g.n for g in graphs])
-        adjacency = np.concatenate([g.adjacency.reshape(-1) for g in graphs])
-        x = np.concatenate([g.features for g in graphs])
+    sizes = [g.n for g in graphs]
+    order = sorted(range(len(graphs)), key=sizes.__getitem__)
+    layout = T.layout_of(tuple(sorted(sizes)))
+    adjacency = layout.join([graphs[i].adjacency for i in order])
+    x = layout.join([graphs[i].features for i in order], graphs[0].features.shape[1])
     x_std = model.scaler.transform(x)
     scores = recon_args = None
     if use_mvp:

@@ -5,7 +5,8 @@ differences) and shares no code with the library paths it checks. The one
 exception is `forward_ref`, the slower forward that the fast one replaced,
 kept as the reference the fast path must match bit for bit (MinCut's loss and
 gradients to 1e-10), together with the unfused tape forms of the fused ops
-(`gram_sigmoid_ref`, `recon_losses_ref`, `cross_entropy_ref`).
+(`gram_sigmoid_ref`, `recon_losses_ref`, `cross_entropy_ref`). Its products
+are plain 2-D ones (`matmul_ref`), not the library's per-graph stacks.
 """
 
 import itertools
@@ -196,6 +197,16 @@ def normalize_adjacency_ref(adjacency):
     return inv_sqrt[:, None] * a_loop * inv_sqrt[None, :]
 
 
+def matmul_ref(a, b):
+    """a @ b as one plain 2-D product: the lone-graph product the layout ops
+    must match, kept apart from the stacked code they run."""
+    def bw(g):
+        T._accum(a, g @ b.values.T)
+        T._accum(b, a.values.T @ g)
+
+    return T._op(a.values @ b.values, (a, b), bw)
+
+
 def _sigmoid_ref(a):
     x = a.values
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
@@ -218,7 +229,7 @@ def _clip_ref(a, lo, hi):
     return T._op(np.clip(a.values, lo, hi), (a,), lambda g: T._accum(a, g * inside))
 
 
-def _transpose_ref(a):
+def transpose_ref(a):
     return T._op(a.values.T, (a,), lambda g: T._accum(a, g.T))
 
 
@@ -242,7 +253,7 @@ def _concat_cols_ref(parts):
 
 
 def gram_sigmoid_ref(z):
-    return _sigmoid_ref(T.matmul(z, _transpose_ref(z)))
+    return _sigmoid_ref(matmul_ref(z, transpose_ref(z)))
 
 
 def recon_losses_ref(adjacency, features, a_hat, x_hat):
@@ -267,8 +278,17 @@ def cross_entropy_ref(logits, label):
 
 
 def _gcn_ref(h, weight, adjacency, activation=T.relu):
-    prop = T.matmul(T.Tensor(normalize_adjacency_ref(adjacency)), T.matmul(h, weight))
+    prop = matmul_ref(T.Tensor(normalize_adjacency_ref(adjacency)), matmul_ref(h, weight))
     return activation(prop) if activation is not None else prop
+
+
+def gcn_views_ref(x, columns, embeds, gcns, adjacency):
+    """`tensor.gcn_views` as one chain per view (slice, products, propagation
+    of an explicit A + I, ReLU), joined by a concatenation."""
+    x_t = T.Tensor(x)
+    return _concat_cols_ref([_gcn_ref(matmul_ref(_slice_cols_ref(x_t, cols), w_embed), w_gcn,
+                                      adjacency) for cols, w_embed, w_gcn in
+                             zip(columns, embeds, gcns)])
 
 
 def _row_sums_ref(a):
@@ -291,25 +311,25 @@ def _softmax_ref(a):
 
 
 def _mean_readout_ref(x, indicator):
-    return T.matmul(T.Tensor((indicator / indicator.sum())[None, :]), x)
+    return matmul_ref(T.Tensor((indicator / indicator.sum())[None, :]), x)
 
 
 def _sum_readout_ref(x, indicator):
-    return T.matmul(T.Tensor(indicator[None, :]), x)
+    return matmul_ref(T.Tensor(indicator[None, :]), x)
 
 
 def _mincut_ref(h, adjacency, assign_w, assign_b):
     """(S^T h, cut + orthogonality loss) of one graph; no cut term without edges."""
     k = assign_w.cols
-    s = _softmax_ref(T.add(T.matmul(h, assign_w), assign_b))
-    x_coarse = T.matmul(_transpose_ref(s), h)
-    ss = T.matmul(_transpose_ref(s), s)
+    s = _softmax_ref(T.add(matmul_ref(h, assign_w), assign_b))
+    x_coarse = matmul_ref(transpose_ref(s), h)
+    ss = matmul_ref(transpose_ref(s), s)
     resid = T.add_const(T.mul(ss, T.reciprocal(T.sqrt(T.tsum(T.mul(ss, ss))))),
                         -np.eye(k) / np.sqrt(k))
     loss = T.sqrt(T.tsum(T.mul(resid, resid)))
     deg = adjacency.sum(axis=1)
     if deg.sum() > 0:
-        num = T.tsum(T.mul(s, T.matmul(T.Tensor(adjacency), s)))
+        num = T.tsum(T.mul(s, matmul_ref(T.Tensor(adjacency), s)))
         den = T.tsum(T.mul_const(T.mul(s, s), deg[:, None]))
         loss = T.add(T.scale(T.mul(num, T.reciprocal(den)), -1.0), loss)
     return x_coarse, loss
@@ -330,32 +350,29 @@ def _backend_ref(backend, x, a, indicator):
             score = _gcn_ref(x, params["score_w"], a, activation=None)
         else:
             proj = params["proj"]
-            score = T.mul(T.matmul(x, proj), T.reciprocal(T.sqrt(T.tsum(T.mul(proj, proj)))))
+            score = T.mul(matmul_ref(x, proj), T.reciprocal(T.sqrt(T.tsum(T.mul(proj, proj)))))
         sel = pooling.select_topk(score.values[:, 0], backend.keep_ratio, indicator)
-        gate = T.matmul(T.tanh(score), T.Tensor(np.ones((1, x.cols))))
+        gate = matmul_ref(T.tanh(score), T.Tensor(np.ones((1, x.cols))))
         return _mean_readout_ref(T.mul_const(T.mul(x, gate), sel[:, None]), sel), None
     h = _gcn_ref(x, params["gcn_w"], a)
     x_coarse, l_pool = _mincut_ref(h, a, params["assign_w"], params["assign_b"])
     k = params["assign_w"].cols
-    return T.matmul(T.Tensor(np.full((1, k), 1.0 / k)), x_coarse), l_pool
+    return matmul_ref(T.Tensor(np.full((1, k), 1.0 / k)), x_coarse), l_pool
 
 
 def _classify_ref(h_g, head):
-    hidden = T.relu(T.add(T.matmul(h_g, head.w1), head.b1))
-    return T.add(T.matmul(hidden, head.w2), head.b2)
+    hidden = T.relu(T.add(matmul_ref(h_g, head.w1), head.b1))
+    return T.add(matmul_ref(hidden, head.w2), head.b2)
 
 
 def forward_ref(model, graph):
     """MVP forward and training loss the slow way: (logits, scores, indicator, loss)."""
     cfg = model.config
     x_std = model.scaler.transform(graph.features)
-    x_t = T.Tensor(x_std)
-    views = zip(model.partition.columns_per_view, model.encoder.embed_weights,
-                model.encoder.gcn_weights)
-    z = _concat_cols_ref([_gcn_ref(T.matmul(_slice_cols_ref(x_t, cols), w_embed), w_gcn,
-                                    graph.adjacency) for cols, w_embed, w_gcn in views])
+    z = gcn_views_ref(x_std, model.partition.columns_per_view, model.encoder.embed_weights,
+                      model.encoder.gcn_weights, graph.adjacency)
     a_hat = gram_sigmoid_ref(z)
-    x_hat = T.relu(T.add(T.matmul(z, model.recon.weight), model.recon.bias))
+    x_hat = T.relu(T.add(matmul_ref(z, model.recon.weight), model.recon.bias))
     la, lx, _ = recon_losses_ref(graph.adjacency, x_std, a_hat, x_hat)
     scores = prune.node_scores(graph.adjacency, x_std, a_hat.values, x_hat.values, cfg.lam)
     indicator, _, _ = prune.build_indicator(scores, cfg.threshold_c)

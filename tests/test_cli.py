@@ -112,10 +112,15 @@ def test_every_config_flag_reaches_the_manifest(tmp_path, data_dir):
 
 @pytest.mark.parametrize("flags", [["--lr", "nan", "--epochs", "1", "--pretrain-epochs", "0"],
                                    ["--lr", "inf"], ["--backend", "mincut", "--clusters", "-2"],
-                                   ["--backend", "mincut", "--clusters", "1"]])
+                                   ["--backend", "mincut", "--clusters", "1"],
+                                   ["synth", "--graphs", "0"], ["synth", "--nodes", "0"],
+                                   ["synth", "--classes", "0"], ["synth", "--features", "0"]])
 def test_bad_flag_values_are_config_errors(tmp_path, data_dir, capsys, flags):
-    rc = cli.main(["train", "--dataset", data_dir, "--out", str(tmp_path / "x")]
-                  + SMALL_FLAGS + flags)
+    if flags[0] == "synth":  # counts that synth checks before it writes anything
+        argv = flags + ["--out", str(tmp_path / "x")]
+    else:
+        argv = ["train", "--dataset", data_dir, "--out", str(tmp_path / "x")] + SMALL_FLAGS + flags
+    rc = cli.main(argv)
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "x").exists()
@@ -135,7 +140,8 @@ def test_bad_config_files_are_config_errors(tmp_path, data_dir, capsys, text):
 
 
 @pytest.mark.parametrize("argv", [["train", "--seeds", "a,b"],
-                                  ["sweep", "--multipliers", "1,abc"]])
+                                  ["sweep", "--multipliers", "1,abc"],
+                                  ["train", "--jobs", "0"], ["train", "--jobs", "-1"]])
 def test_bad_list_flags_are_usage_errors(tmp_path, data_dir, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--dataset", data_dir, "--out", str(tmp_path / "x")])

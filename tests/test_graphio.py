@@ -83,6 +83,12 @@ def test_graph_without_nodes_is_rejected(tmp_path):
     (tmp_path / f"{name}_node_labels.txt").write_text("0\n0\n0\n0\n")
     with pytest.raises(FormatError, match="graph 2 has no nodes"):
         graphio.load_tu(str(tmp_path), name)
+    with pytest.raises(FormatError, match="at least one node"):
+        graphio.Graph(np.zeros((0, 0)), np.zeros((0, 3)), 0)
+    for suffix in ("A", "graph_indicator", "graph_labels", "node_labels"):  # a corpus of none
+        (tmp_path / f"empty_{suffix}.txt").write_text("")
+    with pytest.raises(FormatError, match="lists no graphs"):
+        graphio.load_tu(str(tmp_path), "empty")
 
 
 def test_roundtrip_identical(tmp_path):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvprune import prune, tensor as T
+from mvprune import multiview, prune, tensor as T
 from mvprune.errors import ContractError, ShapeError
 
-from oracles import (cross_entropy_ref, finite_diff, gram_sigmoid_ref, recon_losses_ref,
-                     rel_err)
+from oracles import (cross_entropy_ref, finite_diff, gcn_views_ref, gram_sigmoid_ref, matmul_ref,
+                     random_graph, recon_losses_ref, rel_err, transpose_ref)
 
 
 def test_matmul_identity():
@@ -302,3 +302,54 @@ def test_cross_entropy_matches_tape_oracle_bit_for_bit(c, seed, scale):
 
     for g, w in zip(run(T.cross_entropy), run(cross_entropy_ref)):
         assert np.array_equal(g, w)
+
+
+def _lone_op_and_reference(op):
+    """(parameter values, the op on a one-graph layout, its plain 2-D reference)."""
+    rng = np.random.default_rng(13)
+    n, lone, eps = 7, T.layout_of((7,)), prune.LOG_EPS
+    adj, feats = random_graph(rng, n, p=0.4, d=4)
+    a, w, h = rng.normal(size=(n, 4)), rng.normal(size=(4, 3)), rng.normal(size=(n, 3))
+    probs = np.where(rng.random((n, n)) < 0.2, 1.0 - eps / 2, rng.uniform(size=(n, n)))
+    cols = [[0, 1], [2, 3]]
+    views = [rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), rng.normal(size=(3, 3)),
+             rng.normal(size=(3, 3))]
+    one = lambda x: T.Tensor(x) if np.ndim(x) else T.Tensor([[x]])  # noqa: E731
+    return {
+        "matmul": ((a, w), lambda p, q: T.matmul(p, q, lone), matmul_ref),
+        "propagate": ((h,), lambda q: T.propagate(multiview.normalize_adjacency(adj), q, lone),
+                      lambda q: matmul_ref(T.Tensor(multiview.normalize_adjacency(adj)), q)),
+        "gcn_views": (views, lambda e1, e2, g1, g2: T.gcn_views(
+                          a, cols, [e1, e2], [g1, g2], multiview.normalize_adjacency(adj), lone),
+                      lambda e1, e2, g1, g2: gcn_views_ref(a, cols, [e1, e2], [g1, g2], adj)),
+        "transpose_matmul": ((a, h), lambda p, q: T.transpose_matmul(p, q, lone),
+                             lambda p, q: matmul_ref(transpose_ref(p), q)),
+        "tsum": ((a,), lambda p: T.tsum(p, lone),
+                 lambda p: T._op(p.values.sum().reshape(1, 1), (p,),
+                                 lambda g: T._accum(p, np.full(p.shape, g[0, 0])))),
+        "scale_graphs": ((h, np.array([[1.7]])), lambda p, q: T.scale_graphs(p, q, lone), T.mul),
+        "gram_sigmoid": ((h,), lambda p: T.gram_sigmoid(p, lone), gram_sigmoid_ref),
+        "clipped_bce": ((probs,), lambda p: T.clipped_bce(p, adj, eps, lone),
+                        lambda p: recon_losses_ref(adj, feats, p, one(feats))[0]),
+        "mse": ((a,), lambda p: T.mse(p, feats, lone),
+                lambda p: recon_losses_ref(adj, feats, one(probs), p)[1]),
+    }[op]
+
+
+@pytest.mark.parametrize("op", ["matmul", "propagate", "gcn_views", "transpose_matmul", "tsum",
+                                "scale_graphs", "gram_sigmoid", "clipped_bce", "mse"])
+def test_ops_on_a_one_graph_layout_match_the_plain_product_bit_for_bit(op):
+    # a lone graph runs every layout op as a batch of one; its values and, under
+    # an upstream gradient other than 1, its gradients must be those of the
+    # plain 2-D product (the oracle's own tape ops)
+    values, on_layout, reference = _lone_op_and_reference(op)
+
+    def run(fn):
+        params = [T.param(v.copy()) for v in values]
+        out = fn(*params)
+        weights = np.random.default_rng(14).normal(size=out.shape)
+        T.backward(T.tsum(T.mul_const(out, weights)))
+        return [out.values] + [p.grad for p in params]
+
+    for got, want in zip(run(on_layout), run(reference)):
+        assert np.array_equal(got, want)
