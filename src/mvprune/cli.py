@@ -98,7 +98,9 @@ def _score_rows(model, dataset):
             yield gi, node, deg[node], scores[node], keep[node]
 
 
-def _load_run_model(run_dir: str, dataset):
+def _load_run_model(run_dir: str, dataset, seed: int | None = None):
+    """The model a run trained at `seed`, by default its first trained seed
+    (the one whose model wrote the run's scores.csv), and the run's config."""
     manifest_path = os.path.join(run_dir, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise LoadError(f"missing run manifest: {manifest_path}")
@@ -109,7 +111,11 @@ def _load_run_model(run_dir: str, dataset):
     config = TrainConfig.from_dict(manifest["config"])
     if not manifest["seeds"]:
         raise LoadError(f"run {run_dir} has no trained seed")
-    seed = manifest["seeds"][0]  # the seed whose model wrote the run's scores.csv
+    if seed is None:
+        seed = manifest["seeds"][0]
+    elif seed not in manifest["seeds"]:
+        raise LoadError(f"run {run_dir} has no trained seed {seed}; its trained seeds are "
+                        f"{', '.join(map(str, manifest['seeds']))}")
     model_path = os.path.join(run_dir, "models", f"seed{seed}.npz")
     if not os.path.isfile(model_path):
         raise LoadError(f"missing model weights: {model_path}")
@@ -158,7 +164,7 @@ def cmd_synth(args) -> int:
 
 def cmd_analyze(args) -> int:
     dataset = _load_dataset(args.dataset, args.name)
-    model, config = _load_run_model(args.run, dataset)
+    model, config = _load_run_model(args.run, dataset, args.seed)
     out_dir = args.out or args.run
     os.makedirs(out_dir, exist_ok=True)
     mvp_scores, keeps_mvp = zip(*_scores_and_keeps(model, dataset))
@@ -192,7 +198,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_export_scores(args) -> int:
     dataset = _load_dataset(args.dataset, args.name)
-    model, _ = _load_run_model(args.run, dataset)
+    model, _ = _load_run_model(args.run, dataset, args.seed)
     out = args.out or os.path.join(args.run, "scores.csv")
     export_scores(_score_rows(model, dataset), out)
     print(f"wrote {out}")
@@ -238,6 +244,7 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    seed_help = "the trained seed whose model to use (default: the run's first)"
     parser = argparse.ArgumentParser(prog="mvprune",
                                      description="Multi-view pruning for graph pooling")
     parser.add_argument("--version", action="version", version=__version__)
@@ -269,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name")
     p.add_argument("--run", required=True)
     p.add_argument("--out")
+    p.add_argument("--seed", type=int, help=seed_help)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="threshold-multiplier sweep")
@@ -287,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name")
     p.add_argument("--run", required=True)
     p.add_argument("--out")
+    p.add_argument("--seed", type=int, help=seed_help)
     p.set_defaults(func=cmd_export_scores)
 
     return parser

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +30,11 @@ class Graph:
             raise FormatError("a graph needs at least one node")
         if x.ndim != 2 or x.shape[0] != a.shape[0]:
             raise FormatError(f"features {x.shape} do not match {a.shape[0]} nodes")
-        if not np.array_equal(a, a.T):
+        if not (a == a.T).all():
             raise FormatError("adjacency is not symmetric")
-        if np.any(np.diag(a) != 0):
+        if a.diagonal().any():
             raise FormatError("adjacency has a nonzero diagonal")
-        if not np.isin(a, (0.0, 1.0)).all():
+        if not ((a == 0.0) | (a == 1.0)).all():
             raise FormatError("adjacency entries must be 0 or 1")
         if not np.isfinite(x).all():
             raise FormatError("feature matrix contains NaN/Inf")
@@ -76,19 +77,111 @@ class SplitSpec:
 
 # -- TU flat files ---------------------------------------------------------
 
-def _read_lines(path: str):
-    """The stripped non-empty lines of a file that must exist, read lazily."""
+# the ASCII separators, which loadtxt strips around a field and Python's int and float do not
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _require(path: str) -> str:
     if not os.path.isfile(path):
         raise LoadError(f"missing dataset file: {path}")
+    return path
 
-    def lines():
-        with open(path) as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if ln:
-                    yield ln
 
-    return lines()
+def _loadtxt_reads_as_python(path: str) -> bool:
+    """Whether the file is ASCII text without the ASCII separators: the bytes
+    on which loadtxt's parser and Python's `int` and `float` agree."""
+    with open(path, "rb") as fh:  # in small chunks: a whole-file buffer raised peak RSS
+        for data in iter(lambda: fh.read(1 << 16), b""):
+            if not data.isascii() or any(sep in data for sep in _SEPARATORS):
+                return False
+    return True
+
+
+def _read_table(path: str, dtype, width: int | None = None):
+    """Parse a comma-separated file of `dtype` values (int or float), one row
+    per non-empty line.
+
+    Returns (table, bad). `bad` is None when every line is a row of `width`
+    values (default: as many as the first row). Otherwise it is (the line's
+    number among the non-empty lines, the stripped line, its values or None
+    if one does not convert) for the first line that is not, and the table
+    holds the rows before it.
+
+    One `np.loadtxt` call parses the whole file. The file is read again line
+    by line, stripped, split at commas and converted by Python's `int` or
+    `float`, only when loadtxt fails (an empty file, a whitespace-only line,
+    `1_0`, a bad line) or when the file holds bytes on which the two parsers
+    disagree: non-ASCII text and the ASCII separators.
+    """
+    np_dtype = np.int64 if dtype is int else np.float64
+    if _loadtxt_reads_as_python(_require(path)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty file warns; it is read line by line
+                table = np.loadtxt(path, dtype=np_dtype, delimiter=",", ndmin=2, comments=None)
+            if width in (None, table.shape[1]):
+                return table, None
+        except (ValueError, UserWarning):
+            pass
+    rows, bad = [], None
+    with open(path) as fh:
+        for lineno, line in enumerate(filter(None, (ln.strip() for ln in fh)), start=1):
+            try:
+                values = [dtype(v) for v in line.split(",")]
+            except ValueError:
+                values = None
+            if width is None and values is not None:
+                width = len(values)
+            if values is None or len(values) != width:
+                bad = (lineno, line, values)
+                break
+            rows.append(values)
+    try:
+        table = np.array(rows, dtype=np_dtype)
+    except OverflowError:  # an int beyond int64: kept exact for the range checks and labels
+        table = np.array(rows, dtype=object)
+    return table.reshape(len(rows), width or 0), bad
+
+
+def _int_column(path: str) -> np.ndarray:
+    """The integer on each non-empty line of a file that must exist."""
+    table, bad = _read_table(path, int, width=1)
+    if bad is not None:
+        raise FormatError(f"{os.path.basename(path)} line {bad[0]}: "
+                          f"cannot parse integer '{bad[1]}'")
+    return table[:, 0]
+
+
+def _adjacencies(path: str, name: str, graph_of: np.ndarray, local: np.ndarray,
+                 counts: np.ndarray) -> list[np.ndarray]:
+    """Each graph's 0/1 adjacency from the edge file at `path`, given each
+    node's graph and index within it, and each graph's node count. The first
+    bad line, counting non-empty lines, is a FormatError."""
+    edges, bad = _read_table(path, int, width=2)
+    wrong = ((edges < 1) | (edges > len(graph_of))).any(axis=1)
+    u, v = (np.where(wrong, 1, col).astype(np.int64) - 1 for col in edges.T)  # 0-based
+    crosses = graph_of[u] != graph_of[v]
+    if (wrong | crosses).any():
+        i = int(np.argmax(wrong | crosses))
+        if wrong[i]:
+            raise FormatError(f"{name}_A.txt line {i + 1}: node id out of range")
+        raise FormatError(f"{name}_A.txt line {i + 1}: edge ({u[i] + 1},{v[i] + 1}) crosses "
+                          f"graphs {graph_of[u[i]] + 1} and {graph_of[v[i]] + 1}")
+    if bad is not None:
+        raise FormatError(f"{name}_A.txt line {bad[0]}: cannot parse edge '{bad[1]}'")
+    proper = u != v  # TU files should not carry self-loops; drop defensively
+    u, v = u[proper], v[proper]
+    edge_graph = graph_of[u]
+    by_graph = np.argsort(edge_graph, kind="stable")
+    u, v = local[u[by_graph]], local[v[by_graph]]
+    sizes = np.bincount(edge_graph, minlength=len(counts))
+    ends = np.cumsum(sizes)
+    adjacencies = []
+    for n, lo, hi in zip(counts, ends - sizes, ends):
+        adjacency = np.zeros((n, n))
+        adjacency[u[lo:hi], v[lo:hi]] = adjacency[v[lo:hi], u[lo:hi]] = 1.0  # duplicates land alike
+        adjacencies.append(adjacency)
+    return adjacencies
 
 
 def load_tu(directory: str, name: str) -> Dataset:
@@ -97,12 +190,14 @@ def load_tu(directory: str, name: str) -> Dataset:
     Edge pairs are one-indexed and may appear in both directions; they are
     deduplicated and symmetrized. Node labels are one-hot encoded and placed
     before any real-valued attributes. Graph labels are remapped to a
-    contiguous 0-based range.
+    contiguous 0-based range. Each file is parsed whole (`_read_table`); the
+    checks then report the first bad line in file order, counting non-empty
+    lines.
     """
     pre = os.path.join(directory, name)
-    indicator = [int(v) for v in _read_lines(pre + "_graph_indicator.txt")]
-    graph_labels_raw = [int(v) for v in _read_lines(pre + "_graph_labels.txt")]
-    edge_lines = _read_lines(pre + "_A.txt")
+    indicator = _int_column(pre + "_graph_indicator.txt")
+    graph_labels_raw = _int_column(pre + "_graph_labels.txt")
+    edge_path = _require(pre + "_A.txt")  # parsed after the indicator's checks
 
     node_label_path = pre + "_node_labels.txt"
     node_attr_path = pre + "_node_attributes.txt"
@@ -116,76 +211,50 @@ def load_tu(directory: str, name: str) -> Dataset:
     if n_graphs == 0:
         raise FormatError(f"{name}_graph_labels.txt lists no graphs")
 
-    # global -> (graph id, local index)
-    local = np.zeros(n_total, dtype=np.int64)
-    counts = np.zeros(n_graphs + 1, dtype=np.int64)
-    for i, gid in enumerate(indicator):
-        if not 1 <= gid <= n_graphs:
-            raise FormatError(f"graph_indicator line {i + 1}: graph id {gid} out of range")
-        local[i] = counts[gid]
-        counts[gid] += 1
-    for gid in range(1, n_graphs + 1):
-        if counts[gid] == 0:
-            raise FormatError(f"graph {gid} has no nodes in {name}_graph_indicator.txt")
+    wrong = (indicator < 1) | (indicator > n_graphs)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise FormatError(f"graph_indicator line {i + 1}: graph id {indicator[i]} out of range")
+    graph_of = indicator.astype(np.int64) - 1
+    counts = np.bincount(graph_of, minlength=n_graphs)
+    if counts.min() == 0:
+        raise FormatError(f"graph {int(np.argmin(counts)) + 1} has no nodes in "
+                          f"{name}_graph_indicator.txt")
+    # graph g's nodes, in file order, are nodes[starts[g]:starts[g + 1]]
+    nodes = np.argsort(graph_of, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    local = np.empty(n_total, dtype=np.int64)
+    local[nodes] = np.arange(n_total) - np.repeat(starts[:-1], counts)
 
-    adjacencies = [np.zeros((int(n), int(n))) for n in counts[1:]]
-    for lineno, ln in enumerate(edge_lines, start=1):
-        try:
-            u_s, v_s = ln.split(",")
-            u, v = int(u_s), int(v_s)
-        except ValueError as exc:
-            raise FormatError(f"{name}_A.txt line {lineno}: cannot parse edge '{ln}'") from exc
-        if not (1 <= u <= n_total and 1 <= v <= n_total):
-            raise FormatError(f"{name}_A.txt line {lineno}: node id out of range")
-        gu, gv = indicator[u - 1], indicator[v - 1]
-        if gu != gv:
-            raise FormatError(
-                f"{name}_A.txt line {lineno}: edge ({u},{v}) crosses graphs {gu} and {gv}")
-        if u == v:
-            continue  # TU files should not carry self-loops; drop defensively
-        a, b = local[u - 1], local[v - 1]
-        adjacencies[gu - 1][a, b] = adjacencies[gu - 1][b, a] = 1.0  # duplicates land alike
+    adjacencies = _adjacencies(edge_path, name, graph_of, local, counts)
 
     # features: one-hot node labels first, then raw attributes
     blocks = []
     if has_labels:
-        raw = [int(v) for v in _read_lines(node_label_path)]
+        raw = _int_column(node_label_path)
         if len(raw) != n_total:
             raise FormatError(f"{name}_node_labels.txt: {len(raw)} lines for {n_total} nodes")
-        values = sorted(set(raw))
-        lookup = {v: i for i, v in enumerate(values)}
+        values, codes = np.unique(raw, return_inverse=True)
         onehot = np.zeros((n_total, len(values)))
-        onehot[np.arange(n_total), [lookup[v] for v in raw]] = 1.0
+        onehot[np.arange(n_total), codes] = 1.0
         blocks.append(onehot)
     if has_attrs:
-        attrs, lines = None, 0
-        for lines, ln in enumerate(_read_lines(node_attr_path), start=1):
-            try:
-                row = [float(v) for v in ln.split(",")]
-            except ValueError as exc:
-                raise FormatError(f"{name}_node_attributes.txt line {lines}: bad value") from exc
-            if attrs is None:
-                attrs = np.empty((n_total, len(row)))  # filled row by row as lines are read
-            if len(row) != attrs.shape[1]:
-                raise FormatError(f"{name}_node_attributes.txt line {lines}: {len(row)} values, "
-                                  f"expected {attrs.shape[1]}")
-            if lines <= n_total:
-                attrs[lines - 1] = row
-        if lines != n_total:
-            raise FormatError(f"{name}_node_attributes.txt: {lines} lines for {n_total} nodes")
+        attrs, bad = _read_table(node_attr_path, float)
+        if bad is not None:
+            lineno, _, row = bad
+            raise FormatError(f"{name}_node_attributes.txt line {lineno}: " + (
+                "bad value" if row is None else f"{len(row)} values, expected {attrs.shape[1]}"))
+        if len(attrs) != n_total:
+            raise FormatError(f"{name}_node_attributes.txt: {len(attrs)} lines for "
+                              f"{n_total} nodes")
         blocks.append(attrs)
-    features_all = np.concatenate(blocks, axis=1)
+    features_all = np.concatenate(blocks, axis=1) if len(blocks) > 1 else blocks[0]
 
-    label_values = sorted(set(graph_labels_raw))
-    label_map = {v: i for i, v in enumerate(label_values)}
-
+    label_values, label_codes = np.unique(graph_labels_raw, return_inverse=True)
     graphs = []
-    node_rows = [[] for _ in range(n_graphs)]
-    for i, gid in enumerate(indicator):
-        node_rows[gid - 1].append(i)
-    for gi in range(n_graphs):
-        feats = features_all[node_rows[gi], :]
-        graphs.append(Graph(adjacencies[gi], feats, label_map[graph_labels_raw[gi]]))
+    for g in range(n_graphs):
+        features = features_all[nodes[starts[g]:starts[g + 1]]]  # a fresh array per graph
+        graphs.append(Graph(adjacencies[g], features, int(label_codes[g])))
 
     return Dataset(graphs, features_all.shape[1], len(label_values), name)
 

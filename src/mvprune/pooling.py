@@ -18,6 +18,7 @@ from .errors import ConfigError, ContractError
 from .multiview import gcn_layer
 
 BACKEND_KINDS = ("mean", "sum", "gcn-sum", "attention-topk", "feature-topk", "mincut")
+ADJACENCY_KINDS = ("gcn-sum", "attention-topk", "mincut")  # the backends that read A'
 BACKEND_WIDTH = 32  # the output width of the gcn-sum and mincut backends
 
 
@@ -151,6 +152,7 @@ class PoolBackend:
         `selection` is the keep-mask that reaches the readout: the top-k
         kinds' own selection within `indicator`, else `indicator` itself.
         MinCut's h_G does not depend on its assignment S (see `mincut_pool`).
+        Only the `ADJACENCY_KINDS` read `a_prime`; MVP passes the others None.
         """
         layout = T.as_layout(layout, len(x_prime.values))
         if self.kind == "mean":

@@ -109,18 +109,21 @@ def build_indicator(scores: np.ndarray, c: float = 2.0, layout: T.Layout | None 
     return layout.join(indicators), layout.join(mus), layout.join(sigmas)
 
 
-def apply_mask(features: np.ndarray, adjacency: np.ndarray, indicator: np.ndarray,
+def apply_mask(features: np.ndarray, adjacency: np.ndarray | None, indicator: np.ndarray,
                layout: T.Layout | None = None):
     """Zero out rows (features) and rows+columns (adjacency) of dropped nodes.
 
     Shapes are unchanged; downstream readouts must exclude masked nodes
     explicitly. With a layout, `adjacency` holds each graph's block flat.
+    Without an adjacency (for a backend that does not read A'), A' is None.
     """
     ind = np.asarray(indicator, dtype=np.float64)
     if ind.shape != (features.shape[0],):
         raise ContractError(f"indicator length {ind.shape} != node count {features.shape[0]}")
-    layout = T.as_layout(layout, len(ind))
     keep = ind[:, None]
+    if adjacency is None:
+        return features * keep, None
+    layout = T.as_layout(layout, len(ind))
     a_prime = layout.map(lambda a, m: a * m * m.swapaxes(-1, -2), adjacency, keep, pairwise=1)
     return features * keep, a_prime.reshape(adjacency.shape)
 

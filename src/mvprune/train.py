@@ -24,8 +24,8 @@ from .errors import ConfigError, MvpruneError, TrainingDiverged
 from .graphio import Dataset, FeatureScaler, Graph, SplitSpec, split
 from .multiview import (ViewEncoder, ViewPartition, default_overlap_ratio,
                         encode_views_xa, make_partition)
-from .pooling import (BACKEND_KINDS, ClassifierHead, PoolBackend, classify, make_backend,
-                      mincut_loss)
+from .pooling import (ADJACENCY_KINDS, BACKEND_KINDS, ClassifierHead, PoolBackend, classify,
+                      make_backend, mincut_loss)
 from .prune import (ReconHead, apply_mask, build_indicator, node_scores, recon_losses,
                     reconstruct)
 from .rng import substream
@@ -254,7 +254,8 @@ def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = N
         # a stop-gradient, not a straight-through estimator: the indicator is a
         # constant mask, so the task loss sends no gradient to the scorer (the
         # encoder and reconstruction head), which learns from La and Lx alone
-        x_in, a_in = apply_mask(x_std, adjacency, indicator, layout)
+        reads_a = model.backend.kind in ADJACENCY_KINDS  # mean, sum and feature-topk do not
+        x_in, a_in = apply_mask(x_std, adjacency if reads_a else None, indicator, layout)
     else:
         indicator = np.ones(len(x_std))
         x_in, a_in = x_std, adjacency

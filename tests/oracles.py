@@ -6,15 +6,22 @@ exception is `forward_ref`, the slower forward that the fast one replaced,
 kept as the reference the fast path must match bit for bit (MinCut's loss and
 gradients to 1e-10), together with the unfused tape forms of the fused ops
 (`gram_sigmoid_ref`, `recon_losses_ref`, `cross_entropy_ref`). Its products
-are plain 2-D ones (`matmul_ref`), not the library's per-graph stacks.
+are plain 2-D ones (`matmul_ref`), not the library's per-graph stacks. The
+other is `load_tu_ref`, the line-by-line TU loader that the one-parse-per-file
+`graphio.load_tu` replaced: it must give the same Dataset, and the same
+exception and message for every malformed corpus, except that a non-integer
+id or label raises a bare ValueError here and a FormatError there.
 """
 
 import itertools
+import os
 from collections import deque
 
 import numpy as np
 
 from mvprune import pooling, prune, tensor as T
+from mvprune.errors import FormatError, LoadError
+from mvprune.graphio import Dataset, Graph
 
 
 def finite_diff(f, params, step=1e-5):
@@ -383,3 +390,110 @@ def forward_ref(model, graph):
     if l_pool is not None:
         loss = T.add(loss, l_pool)
     return logits, scores, indicator, loss
+
+
+def _read_lines_ref(path):
+    """The stripped non-empty lines of a file that must exist, read lazily."""
+    if not os.path.isfile(path):
+        raise LoadError(f"missing dataset file: {path}")
+
+    def lines():
+        with open(path) as fh:
+            for ln in fh:
+                ln = ln.strip()
+                if ln:
+                    yield ln
+
+    return lines()
+
+
+def load_tu_ref(directory, name):
+    """The TU directory parsed one line at a time, with one check per line."""
+    pre = os.path.join(directory, name)
+    indicator = [int(v) for v in _read_lines_ref(pre + "_graph_indicator.txt")]
+    graph_labels_raw = [int(v) for v in _read_lines_ref(pre + "_graph_labels.txt")]
+    edge_lines = _read_lines_ref(pre + "_A.txt")
+
+    node_label_path = pre + "_node_labels.txt"
+    node_attr_path = pre + "_node_attributes.txt"
+    has_labels = os.path.isfile(node_label_path)
+    has_attrs = os.path.isfile(node_attr_path)
+    if not has_labels and not has_attrs:
+        raise LoadError(f"missing dataset file: {node_label_path} (or _node_attributes.txt)")
+
+    n_total = len(indicator)
+    n_graphs = len(graph_labels_raw)
+    if n_graphs == 0:
+        raise FormatError(f"{name}_graph_labels.txt lists no graphs")
+
+    # global -> (graph id, local index)
+    local = np.zeros(n_total, dtype=np.int64)
+    counts = np.zeros(n_graphs + 1, dtype=np.int64)
+    for i, gid in enumerate(indicator):
+        if not 1 <= gid <= n_graphs:
+            raise FormatError(f"graph_indicator line {i + 1}: graph id {gid} out of range")
+        local[i] = counts[gid]
+        counts[gid] += 1
+    for gid in range(1, n_graphs + 1):
+        if counts[gid] == 0:
+            raise FormatError(f"graph {gid} has no nodes in {name}_graph_indicator.txt")
+
+    adjacencies = [np.zeros((int(n), int(n))) for n in counts[1:]]
+    for lineno, ln in enumerate(edge_lines, start=1):
+        try:
+            u_s, v_s = ln.split(",")
+            u, v = int(u_s), int(v_s)
+        except ValueError as exc:
+            raise FormatError(f"{name}_A.txt line {lineno}: cannot parse edge '{ln}'") from exc
+        if not (1 <= u <= n_total and 1 <= v <= n_total):
+            raise FormatError(f"{name}_A.txt line {lineno}: node id out of range")
+        gu, gv = indicator[u - 1], indicator[v - 1]
+        if gu != gv:
+            raise FormatError(
+                f"{name}_A.txt line {lineno}: edge ({u},{v}) crosses graphs {gu} and {gv}")
+        if u == v:
+            continue
+        a, b = local[u - 1], local[v - 1]
+        adjacencies[gu - 1][a, b] = adjacencies[gu - 1][b, a] = 1.0
+
+    blocks = []
+    if has_labels:
+        raw = [int(v) for v in _read_lines_ref(node_label_path)]
+        if len(raw) != n_total:
+            raise FormatError(f"{name}_node_labels.txt: {len(raw)} lines for {n_total} nodes")
+        values = sorted(set(raw))
+        lookup = {v: i for i, v in enumerate(values)}
+        onehot = np.zeros((n_total, len(values)))
+        onehot[np.arange(n_total), [lookup[v] for v in raw]] = 1.0
+        blocks.append(onehot)
+    if has_attrs:
+        attrs, lines = None, 0
+        for lines, ln in enumerate(_read_lines_ref(node_attr_path), start=1):
+            try:
+                row = [float(v) for v in ln.split(",")]
+            except ValueError as exc:
+                raise FormatError(f"{name}_node_attributes.txt line {lines}: bad value") from exc
+            if attrs is None:
+                attrs = np.empty((n_total, len(row)))
+            if len(row) != attrs.shape[1]:
+                raise FormatError(f"{name}_node_attributes.txt line {lines}: {len(row)} values, "
+                                  f"expected {attrs.shape[1]}")
+            if lines <= n_total:
+                attrs[lines - 1] = row
+        if lines != n_total:
+            raise FormatError(f"{name}_node_attributes.txt: {lines} lines for {n_total} nodes")
+        blocks.append(attrs)
+    features_all = np.concatenate(blocks, axis=1)
+
+    label_values = sorted(set(graph_labels_raw))
+    label_map = {v: i for i, v in enumerate(label_values)}
+
+    graphs = []
+    node_rows = [[] for _ in range(n_graphs)]
+    for i, gid in enumerate(indicator):
+        node_rows[gid - 1].append(i)
+    for gi in range(n_graphs):
+        feats = features_all[node_rows[gi], :]
+        graphs.append(Graph(adjacencies[gi], feats, label_map[graph_labels_raw[gi]]))
+
+    return Dataset(graphs, features_all.shape[1], len(label_values), name)

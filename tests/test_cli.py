@@ -4,6 +4,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mvprune import cli, prune, tensor as T, train as tr
@@ -332,6 +333,70 @@ def test_analyze_and_export_use_a_trained_seed(tmp_path, data_dir, monkeypatch):
     assert out.read_bytes() == (run / "scores.csv").read_bytes()
     assert cli.main(["analyze", "degree-profile", "--dataset", data_dir,
                      "--run", str(run), "--out", str(tmp_path / "prof")]) == 0
+
+
+@pytest.fixture(scope="module")
+def two_seed_run(tmp_path_factory, data_dir):
+    out = tmp_path_factory.mktemp("runs") / "r01"
+    rc = cli.main(["train", "--dataset", data_dir, "--out", str(out)]
+                  + SMALL_FLAGS + ["--seeds", "0,1"])
+    assert rc == 0
+    return out
+
+
+def test_analyze_and_export_take_a_trained_seed(tmp_path, data_dir, two_seed_run,
+                                                 monkeypatch):
+    dataset = cli._load_dataset(data_dir, None)
+    config = tr.TrainConfig.from_dict(
+        json.loads((two_seed_run / "manifest.json").read_text())["config"])
+    with np.load(two_seed_run / "models" / "seed1.npz") as state:
+        model = tr.restore_model(config, dataset, 1, dict(state))
+    want = tmp_path / "want.csv"
+    prune.export_scores(cli._score_rows(model, dataset), str(want))
+    base = ["--dataset", data_dir, "--run", str(two_seed_run)]
+    for seed, expected in (([], two_seed_run / "scores.csv"), (["--seed", "0"],
+                           two_seed_run / "scores.csv"), (["--seed", "1"], want)):
+        out = tmp_path / "scores.csv"
+        assert cli.main(["export-scores", *base, "--out", str(out), *seed]) == 0
+        assert out.read_bytes() == expected.read_bytes(), seed
+    assert want.read_bytes() != (two_seed_run / "scores.csv").read_bytes()
+    restored, real = [], tr.restore_model
+
+    def recording(config, dataset, seed, state):
+        restored.append(seed)
+        return real(config, dataset, seed, state)
+
+    monkeypatch.setattr(tr, "restore_model", recording)
+    for seed in ([], ["--seed", "1"], ["--seed", "0"]):
+        assert cli.main(["analyze", "degree-profile", *base, "--out", str(tmp_path / "prof"),
+                         *seed]) == 0
+    assert restored == [0, 1, 0]
+
+
+@pytest.mark.parametrize("command", [["export-scores"], ["analyze", "centrality"]])
+def test_a_seed_the_run_did_not_train_is_a_load_error(tmp_path, data_dir, two_seed_run,
+                                                       command, capsys):
+    rc = cli.main([*command, "--dataset", data_dir, "--run", str(two_seed_run),
+                   "--out", str(tmp_path / "out"), "--seed", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"run {two_seed_run} has no trained seed 2" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_non_integer_graph_id_exits_1_naming_the_line(tmp_path, data_dir, capsys):
+    bad = tmp_path / "tiny"
+    bad.mkdir()
+    for path in Path(data_dir).iterdir():
+        (bad / path.name).write_bytes(path.read_bytes())
+    indicator = bad / "tiny_graph_indicator.txt"
+    lines = indicator.read_text().splitlines()
+    lines[4] = "1.5"
+    indicator.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["train", "--dataset", str(bad), "--out", str(tmp_path / "run")] + SMALL_FLAGS)
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "error: tiny_graph_indicator.txt line 5: cannot parse integer '1.5'\n"
 
 
 def test_version_flag(capsys):

@@ -1,12 +1,14 @@
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from mvprune import graphio
-from mvprune.errors import ConfigError, FormatError, LoadError, SplitError
+from mvprune.errors import ConfigError, FormatError, LoadError, MvpruneError, SplitError
 
 
 def write_two_triangles(tmp_path, name="toy"):
@@ -91,6 +93,35 @@ def test_graph_without_nodes_is_rejected(tmp_path):
         graphio.load_tu(str(tmp_path), "empty")
 
 
+def _sym(*entries):
+    """A 3-node adjacency with the given (i, j, value) entries, mirrored."""
+    a = np.zeros((3, 3))
+    for i, j, value in entries:
+        a[i, j] = a[j, i] = value
+    return a
+
+
+@pytest.mark.parametrize("adjacency, features, message", [
+    (np.zeros((3, 2)), np.zeros((3, 1)), "adjacency must be square"),
+    (np.zeros((3, 3)), np.zeros((2, 1)), r"features \(2, 1\) do not match 3 nodes"),
+    (np.triu(np.ones((3, 3)), 1), np.zeros((3, 1)), "not symmetric"),
+    (_sym((0, 1, np.nan)), np.zeros((3, 1)), "not symmetric"),
+    (_sym((1, 1, 1.0)), np.zeros((3, 1)), "nonzero diagonal"),
+    (_sym((2, 2, -1e-300)), np.zeros((3, 1)), "nonzero diagonal"),
+    (_sym((0, 2, 2.0)), np.zeros((3, 1)), "entries must be 0 or 1"),
+    (_sym((0, 2, 1.0 + 2.0**-52)), np.zeros((3, 1)), "entries must be 0 or 1"),
+    (_sym((0, 2, np.inf)), np.zeros((3, 1)), "entries must be 0 or 1"),
+    (_sym((0, 1, 1.0)), np.array([[0.0], [np.inf], [0.0]]), "NaN/Inf"),
+])
+def test_graph_rejects_bad_arrays(adjacency, features, message):
+    with pytest.raises(FormatError, match=message):
+        graphio.Graph(adjacency, features, 0)
+
+
+def test_graph_takes_negative_zero_for_zero():
+    graphio.Graph(_sym((0, 1, 1.0), (1, 2, -0.0), (2, 2, -0.0)), np.zeros((3, 1)), 0)
+
+
 def test_roundtrip_identical(tmp_path):
     ds, _ = graphio.synth_planted_anomalies(12, 9, 0.2, seed=3)
     out = tmp_path / "rt"
@@ -125,7 +156,8 @@ def tu_datasets(draw):
 def test_roundtrip_property(ds):
     with tempfile.TemporaryDirectory() as out:
         graphio.save_tu(ds, out)
-        back = graphio.load_tu(out, ds.name)
+        back, ref = load_both(out, ds.name)
+    assert_same_dataset(back, ref)  # the per-line loader reads the same
     labels = sorted({g.label for g in ds.graphs})  # loading remaps labels to 0..C-1
     assert (len(back), back.d, back.num_classes) == (len(ds), ds.d, ds.num_classes)
     for a, b in zip(ds.graphs, back.graphs):
@@ -139,6 +171,270 @@ def test_loaded_graphs_are_symmetric_zero_diag(tmp_path):
     for g in ds.graphs:
         assert np.array_equal(g.adjacency, g.adjacency.T)
         assert np.all(np.diag(g.adjacency) == 0)
+
+
+# -- the loader against the per-line oracle ---------------------------------
+
+def write_files(directory, name, files):
+    """Write each `suffix: text` of `files` as `<name>_<suffix>.txt`, newlines as given."""
+    for suffix, text in files.items():
+        with open(os.path.join(directory, f"{name}_{suffix}.txt"), "w", newline="") as fh:
+            fh.write(text)
+
+
+def load_both(directory, name):
+    """The outcomes of `load_tu` and of the oracle: a Dataset or the exception raised."""
+    outcomes = []
+    for load in (graphio.load_tu, oracles.load_tu_ref):
+        try:
+            outcomes.append(load(directory, name))
+        except (MvpruneError, ValueError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def assert_same_dataset(a, b):
+    assert (a.name, a.d, a.num_classes, len(a)) == (b.name, b.d, b.num_classes, len(b))
+    assert type(a.d) is type(b.d) and type(a.num_classes) is type(b.num_classes)
+    for g, h in zip(a.graphs, b.graphs):
+        assert type(g.label) is type(h.label) and g.label == h.label
+        for x, y in ((g.adjacency, h.adjacency), (g.features, h.features)):
+            assert (x.dtype, x.shape, x.flags.c_contiguous, x.flags.owndata) == \
+                (y.dtype, y.shape, y.flags.c_contiguous, y.flags.owndata)
+            assert x.tobytes() == y.tobytes()
+    assert a.fingerprint() == b.fingerprint()
+
+
+def assert_same_outcome(directory, name):
+    new, ref = load_both(directory, name)
+    if isinstance(ref, graphio.Dataset):
+        assert isinstance(new, graphio.Dataset), new
+        assert_same_dataset(new, ref)
+    elif isinstance(ref, MvpruneError):
+        assert (type(new), str(new)) == (type(ref), str(ref))
+    else:  # the oracle's bare ValueError for an id or label that is not an integer
+        assert isinstance(new, FormatError) and "cannot parse integer" in str(new), (new, ref)
+
+
+TWO_GRAPHS = {"graph_indicator": "1\n1\n1\n2\n2\n2\n", "graph_labels": "1\n2\n",
+              "node_labels": "0\n1\n0\n1\n1\n0\n"}
+
+FIXTURES = {
+    "duplicate and two-way edges": dict(TWO_GRAPHS, A="1, 2\n2, 1\n1, 2\n4, 5\n5, 4\n5, 4\n"),
+    "self-loops": dict(TWO_GRAPHS, A="1, 1\n1, 2\n6, 6\n"),
+    "edgeless graphs": dict(TWO_GRAPHS, A="1, 2\n"),
+    "empty edge file": dict(TWO_GRAPHS, A=""),
+    "whitespace-only edge file": dict(TWO_GRAPHS, A="\n  \n\t\n"),
+    "one-node graphs": {"A": "2, 3\n", "graph_indicator": "1\n2\n2\n3\n",
+                        "graph_labels": "0\n1\n0\n", "node_labels": "4\n4\n5\n4\n"},
+    "blank and whitespace-only lines": {
+        "A": "\n1, 2\n   \n\t\n2, 3\n\n", "graph_indicator": "1\n\n1\n 1\n  \n2\n2\n2\n\n",
+        "graph_labels": "\n1\n\t\n2\n", "node_labels": "0\n1\n \n0\n1\n1\n0\n"},
+    "CRLF line endings": {key: text.replace("\n", "\r\n") for key, text in
+                          dict(TWO_GRAPHS, A="1, 2\n2, 3\n4, 6\n").items()},
+    "CR line endings": {key: text.replace("\n", "\r") for key, text in
+                        dict(TWO_GRAPHS, A="1, 2\n2, 3\n4, 6\n").items()},
+    "spaces around commas": dict(TWO_GRAPHS, A="1 ,2\n2 , 3\n\t4,\t5 \n 5,6\n"),
+    "signs and leading zeros": {"A": "+1, 02\n+4, +5\n", "graph_indicator": "+1\n01\n1\n2\n+2\n",
+                                "graph_labels": "-1\n+1\n", "node_labels": "-0\n+3\n3\n0\n-2\n"},
+    "underscores in ids": dict(TWO_GRAPHS, A="1, 2\n", graph_labels="1_0\n2\n"),
+    "non-ASCII digits and spaces": dict(TWO_GRAPHS, A="1, 2\n 4, 5\n",
+                                        graph_labels="١\n٢\n"),
+    "node labels with attributes": dict(TWO_GRAPHS, A="1, 2\n",
+                                        node_attributes="0.5, -1\n2, 3e-3\n1e300, 0\n"
+                                                        "-0.0, .5\n5., 7\n1_0.5, 1\n"),
+    "attributes only": {"A": "1, 3\n", "graph_indicator": "1\n1\n1\n",
+                        "graph_labels": "3\n", "node_attributes": "1\n2\n3\n"},
+    "graph labels not contiguous": {"A": "", "graph_indicator": "1\n2\n3\n4\n",
+                                    "graph_labels": "7\n-3\n7\n100\n",
+                                    "node_labels": "1\n1\n1\n1\n"},
+    "graph labels beyond int64": dict(
+        TWO_GRAPHS, A="", graph_labels="99999999999999999999\n-99999999999999999999\n"),
+    "nodes of a graph apart": {"A": "1, 3\n2, 4\n", "graph_indicator": "2\n1\n2\n1\n",
+                               "graph_labels": "0\n1\n", "node_labels": "0\n1\n2\n3\n"},
+}
+
+
+@pytest.mark.parametrize("files", FIXTURES.values(), ids=FIXTURES)
+def test_fixture_corpora_load_as_the_oracle_loads_them(tmp_path, files):
+    write_files(tmp_path, "fx", files)
+    new, ref = load_both(str(tmp_path), "fx")
+    assert isinstance(ref, graphio.Dataset), ref
+    assert_same_dataset(new, ref)
+
+
+def test_empty_edge_file_loads_edgeless_graphs_without_a_warning(tmp_path):
+    write_files(tmp_path, "fx", dict(TWO_GRAPHS, A=""))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # what a caller without pytest's filters would see
+        ds = graphio.load_tu(str(tmp_path), "fx")
+    assert caught == []
+    assert [g.adjacency.tolist() for g in ds.graphs] == [np.zeros((3, 3)).tolist()] * 2
+
+
+INT_FORMS = (str, lambda v: f" {v} ", lambda v: f"\t{v}", lambda v: f"+{v}" if v >= 0 else str(v),
+             lambda v: f"0{v}" if v >= 0 else str(v))
+FLOAT_FORMS = (repr, lambda x: "%.17g" % x, lambda x: "%.3e" % x, lambda x: f" {x!r} ")
+SEPARATORS = (",", ", ", " , ", " ,", ",\t")
+FAULTS = ("x", "0.5", "1.5", "#1", "1, 2, 3", "0", "99", "1,", "nan", "1_0", "1,\x1c2",
+          "99999999999999999999", "-1")
+
+
+@st.composite
+def tu_files(draw):
+    """A small TU corpus written with the line forms the loader accepts, and
+    sometimes one line replaced by a fault."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    graph_of = draw(st.permutations([g + 1 for g, n in enumerate(sizes) for _ in range(n)]))
+    pairs = [(u + 1, v + 1) for u in range(len(graph_of)) for v in range(len(graph_of))
+             if graph_of[u] == graph_of[v]]  # self-loops and both directions included
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12))
+    labels = draw(st.lists(st.integers(-3, 9), min_size=len(sizes), max_size=len(sizes)))
+    node_labels = draw(st.lists(st.integers(-2, 5), min_size=len(graph_of),
+                                max_size=len(graph_of)))
+    width = draw(st.integers(1, 3))
+    attrs = draw(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=width, max_size=width),
+                          min_size=len(graph_of), max_size=len(graph_of)))
+    feature_files = draw(st.sampled_from([("node_labels",), ("node_attributes",),
+                                          ("node_labels", "node_attributes")]))
+
+    def token(value, forms):
+        return draw(st.sampled_from(forms))(value)
+
+    lines = {
+        "A": [token(u, INT_FORMS) + draw(st.sampled_from(SEPARATORS)) + token(v, INT_FORMS)
+              for u, v in edges],
+        "graph_indicator": [token(g, INT_FORMS) for g in graph_of],
+        "graph_labels": [token(y, INT_FORMS) for y in labels],
+        "node_labels": [token(y, INT_FORMS) for y in node_labels],
+        "node_attributes": [draw(st.sampled_from(SEPARATORS)).join(token(x, FLOAT_FORMS)
+                                                                   for x in row) for row in attrs],
+    }
+    fault = draw(st.none() | st.tuples(st.sampled_from(sorted(lines)), st.integers(0, 20),
+                                       st.sampled_from(FAULTS)))
+    if fault is not None and lines[fault[0]]:
+        suffix, at, text = fault
+        lines[suffix][at % len(lines[suffix])] = text
+    files = {}
+    for suffix in ("A", "graph_indicator", "graph_labels") + feature_files:
+        body = list(lines[suffix])
+        for _ in range(draw(st.integers(0, 2))):  # blank and whitespace-only lines anywhere
+            body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(["", " ", "\t"])))
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        files[suffix] = end.join(body) + draw(st.sampled_from([end, ""]))
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=tu_files())
+def test_written_corpora_load_as_the_oracle_loads_them(files):
+    with tempfile.TemporaryDirectory() as out:
+        write_files(out, "w", files)
+        assert_same_outcome(out, "w")
+
+
+def _faulty(**files):
+    """The two-graph corpus with some files replaced; None removes a file."""
+    files = {**TWO_GRAPHS, "A": "1, 2\n2, 3\n4, 5\n", **files}
+    return {suffix: text for suffix, text in files.items() if text is not None}
+
+
+ATTRS = dict(node_labels=None, node_attributes="0.5, 1\n2, 3\n1, 1\n0, 0\n1, 2\n3, 4\n")
+NOT_AN_INT = "cannot parse integer"
+LOAD_ERRORS = [  # (id, files, exception, message; <dir> is the corpus directory)
+    ("no indicator", _faulty(graph_indicator=None), LoadError,
+     "missing dataset file: <dir>/bad_graph_indicator.txt"),
+    ("no graph labels", _faulty(graph_labels=None), LoadError,
+     "missing dataset file: <dir>/bad_graph_labels.txt"),
+    ("no edges", _faulty(A=None), LoadError, "missing dataset file: <dir>/bad_A.txt"),
+    ("no node labels or attributes", _faulty(node_labels=None), LoadError,
+     "missing dataset file: <dir>/bad_node_labels.txt (or _node_attributes.txt)"),
+    ("graph id x", _faulty(graph_indicator="1\n1\nx\n2\n2\n2\n"), FormatError,
+     f"bad_graph_indicator.txt line 3: {NOT_AN_INT} 'x'"),
+    ("graph id 0.5", _faulty(graph_indicator="1\n0.5\n1\n2\n2\n2\n"), FormatError,
+     f"bad_graph_indicator.txt line 2: {NOT_AN_INT} '0.5'"),
+    ("graph id 1.5 after blank lines", _faulty(graph_indicator="\n1\n  \n1\n1.5\n2\n2\n2\n"),
+     FormatError, f"bad_graph_indicator.txt line 3: {NOT_AN_INT} '1.5'"),
+    ("graph id #", _faulty(graph_indicator="# ids\n1\n1\n1\n2\n2\n2\n"), FormatError,
+     f"bad_graph_indicator.txt line 1: {NOT_AN_INT} '# ids'"),
+    ("two graph ids on a line", _faulty(graph_indicator="1, 1\n1\n2\n2\n2\n"), FormatError,
+     f"bad_graph_indicator.txt line 1: {NOT_AN_INT} '1, 1'"),
+    ("graph label x", _faulty(graph_labels="1\nx\n"), FormatError,
+     f"bad_graph_labels.txt line 2: {NOT_AN_INT} 'x'"),
+    ("node label 0.5", _faulty(node_labels="0.5\n1\n0\n1\n1\n0\n"), FormatError,
+     f"bad_node_labels.txt line 1: {NOT_AN_INT} '0.5'"),
+    ("no graphs", _faulty(graph_labels=""), FormatError, "bad_graph_labels.txt lists no graphs"),
+    ("graph id 0", _faulty(graph_indicator="1\n0\n1\n2\n2\n2\n"), FormatError,
+     "graph_indicator line 2: graph id 0 out of range"),
+    ("graph id 3", _faulty(graph_indicator="1\n1\n1\n2\n3\n2\n"), FormatError,
+     "graph_indicator line 5: graph id 3 out of range"),
+    ("graph id beyond int64", _faulty(graph_indicator="99999999999999999999\n1\n1\n2\n2\n2\n"),
+     FormatError, "graph_indicator line 1: graph id 99999999999999999999 out of range"),
+    ("graph without nodes",
+     _faulty(graph_indicator="1\n1\n1\n3\n3\n3\n", graph_labels="1\n2\n3\n"), FormatError,
+     "graph 2 has no nodes in bad_graph_indicator.txt"),
+    ("edge with one column", _faulty(A="1, 2\n1\n"), FormatError,
+     "bad_A.txt line 2: cannot parse edge '1'"),
+    ("edge with three columns", _faulty(A="1, 2\n1, 2, 3\n"), FormatError,
+     "bad_A.txt line 2: cannot parse edge '1, 2, 3'"),
+    ("every edge with three columns", _faulty(A="1, 2, 3\n4, 5, 6\n"), FormatError,
+     "bad_A.txt line 1: cannot parse edge '1, 2, 3'"),
+    ("edge a, b", _faulty(A="\n1, 2\n\na, b\n"), FormatError,
+     "bad_A.txt line 2: cannot parse edge 'a, b'"),
+    ("edge comment", _faulty(A="# u, v\n1, 2\n"), FormatError,
+     "bad_A.txt line 1: cannot parse edge '# u, v'"),
+    ("edge 1.0", _faulty(A="1.0, 2\n"), FormatError,
+     "bad_A.txt line 1: cannot parse edge '1.0, 2'"),
+    ("edge with a separator", _faulty(A="1,\x1c2\n"), FormatError,
+     "bad_A.txt line 1: cannot parse edge '1,\x1c2'"),
+    ("edge with a non-ASCII symbol", _faulty(A="1, 2\n1, 2\u2930\n"), FormatError,
+     "bad_A.txt line 2: cannot parse edge '1, 2\u2930'"),
+    ("edge node 0", _faulty(A="1, 2\n1, 0\n"), FormatError,
+     "bad_A.txt line 2: node id out of range"),
+    ("edge node 7", _faulty(A="7, 1\n"), FormatError, "bad_A.txt line 1: node id out of range"),
+    ("edge node beyond int64", _faulty(A="1, 2\n1, 99999999999999999999\n"), FormatError,
+     "bad_A.txt line 2: node id out of range"),
+    ("edge across graphs", _faulty(A="1, 2\n2, 3\n3, 4\n"), FormatError,
+     "bad_A.txt line 3: edge (3,4) crosses graphs 1 and 2"),
+    ("range, then parse fault", _faulty(A="1, 2\n1, 9\nx, y\n"), FormatError,
+     "bad_A.txt line 2: node id out of range"),
+    ("parse, then range fault", _faulty(A="1, 2\nx, y\n1, 9\n"), FormatError,
+     "bad_A.txt line 2: cannot parse edge 'x, y'"),
+    ("cross, then range fault", _faulty(A="1, 2\n5, +1\n0, 1\n"), FormatError,
+     "bad_A.txt line 2: edge (5,1) crosses graphs 2 and 1"),
+    ("indicator and edge faults", _faulty(graph_indicator="1\n1\n1\n2\n2\n0\n", A="x\n"),
+     FormatError, "graph_indicator line 6: graph id 0 out of range"),
+    ("edge and node label faults", _faulty(A="1, 0\n", node_labels="x\n"), FormatError,
+     "bad_A.txt line 1: node id out of range"),
+    ("node label count", _faulty(node_labels="0\n1\n"), FormatError,
+     "bad_node_labels.txt: 2 lines for 6 nodes"),
+    ("attribute count", _faulty(**dict(ATTRS, node_attributes="0.5, 1\n2, 3\n")), FormatError,
+     "bad_node_attributes.txt: 2 lines for 6 nodes"),
+    ("attribute width", _faulty(**dict(ATTRS, node_attributes="0.5, 1\n2, 3\n1.5\n")),
+     FormatError, "bad_node_attributes.txt line 3: 1 values, expected 2"),
+    ("attribute x", _faulty(**dict(ATTRS, node_attributes="0.5, 1\n\n2, 3\n1, x\n")),
+     FormatError, "bad_node_attributes.txt line 3: bad value"),
+    ("first attribute x", _faulty(**dict(ATTRS, node_attributes="x\n")), FormatError,
+     "bad_node_attributes.txt line 1: bad value"),
+    ("attribute x past the last node",
+     _faulty(**dict(ATTRS, node_attributes="1, 1\n" * 7 + "1, x\n")), FormatError,
+     "bad_node_attributes.txt line 8: bad value"),
+    ("attribute nan", _faulty(**dict(ATTRS, node_attributes="1, 1\n" * 4 + "nan, 1\n1, 1\n")),
+     FormatError, "feature matrix contains NaN/Inf"),
+]
+
+
+@pytest.mark.parametrize("files, error, message", [row[1:] for row in LOAD_ERRORS],
+                         ids=[row[0] for row in LOAD_ERRORS])
+def test_each_load_error_names_its_file_and_line(tmp_path, files, error, message):
+    write_files(tmp_path, "bad", files)
+    new, ref = load_both(str(tmp_path), "bad")
+    assert (type(new), str(new)) == (error, message.replace("<dir>", str(tmp_path)))
+    if isinstance(ref, MvpruneError):  # the per-line loader raised the same
+        assert (type(ref), str(ref)) == (type(new), str(new))
+    else:
+        assert message.split(": ")[1].startswith(NOT_AN_INT) and isinstance(ref, ValueError)
 
 
 # -- synthetic corpus ------------------------------------------------------

@@ -167,6 +167,14 @@ def test_mask_matches_loop_oracle():
     assert xp.shape == feats.shape and ap.shape == adj.shape
 
 
+def test_mask_without_adjacency_masks_the_features_alone():
+    rng = np.random.default_rng(6)
+    adj, feats = random_graph(rng, 7, d=3)
+    indicator = (rng.random(7) > 0.4).astype(float)
+    xp, ap = prune.apply_mask(feats, None, indicator)
+    assert ap is None and np.array_equal(xp, prune.apply_mask(feats, adj, indicator)[0])
+
+
 def test_mask_gradient_blocks_dropped_rows():
     # mask as constant: gradient reaches only surviving entries
     rng = np.random.default_rng(8)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mvprune import cli, multiview as mv, train as tr, tensor as T
 from mvprune.errors import ConfigError, ContractError, TrainingDiverged
 from mvprune.graphio import Dataset, Graph, split, synth_planted_anomalies
-from mvprune.pooling import BACKEND_KINDS
+from mvprune.pooling import ADJACENCY_KINDS, BACKEND_KINDS, PoolBackend
 from mvprune.rng import substream
 
 from oracles import finite_diff, forward_ref, random_graph, rel_err
@@ -394,6 +394,25 @@ def test_forward_matches_slow_reference_bit_for_bit(mixed_corpus, backend):
                         np.abs(got[name] - want[name]).max() <= 1e-10 * scale), name
         dropped += g.n - int(indicator.sum())
     assert dropped > 0
+
+
+@pytest.mark.parametrize("backend", BACKEND_KINDS)
+def test_only_backends_that_read_a_prime_get_it(corpus, backend, monkeypatch):
+    # forward_ref masks A for every backend; the bit-for-bit test above shows
+    # that skipping it for the others changes no value
+    seen, real = [], PoolBackend.forward
+
+    def recording(self, x_prime, a_prime, *args):
+        seen.append(a_prime)
+        return real(self, x_prime, a_prime, *args)
+
+    monkeypatch.setattr(PoolBackend, "forward", recording)
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend))
+    model = tr.build_model(cfg, corpus, split(corpus, 0), seed=0)
+    tr.forward_batch(model, corpus.graphs[:3])
+    tr.forward_batch(model, corpus.graphs[:3], use_mvp=False)
+    assert (seen[0] is None) == (backend not in ADJACENCY_KINDS)
+    assert seen[1] is not None  # without MVP the backend gets A itself
 
 
 def test_evaluate_builds_no_reconstruction_loss(corpus, monkeypatch):
