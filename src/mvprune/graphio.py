@@ -105,7 +105,8 @@ def _read_table(path: str, dtype, width: int | None = None):
     values (default: as many as the first row). Otherwise it is (the line's
     number among the non-empty lines, the stripped line, its values or None
     if one does not convert) for the first line that is not, and the table
-    holds the rows before it.
+    holds the rows before it. A file that does not decode in the locale's
+    encoding is a FormatError naming it.
 
     One `np.loadtxt` call parses the whole file. The file is read again line
     by line, stripped, split at commas and converted by Python's `int` or
@@ -124,18 +125,21 @@ def _read_table(path: str, dtype, width: int | None = None):
         except (ValueError, UserWarning):
             pass
     rows, bad = [], None
-    with open(path) as fh:
-        for lineno, line in enumerate(filter(None, (ln.strip() for ln in fh)), start=1):
-            try:
-                values = [dtype(v) for v in line.split(",")]
-            except ValueError:
-                values = None
-            if width is None and values is not None:
-                width = len(values)
-            if values is None or len(values) != width:
-                bad = (lineno, line, values)
-                break
-            rows.append(values)
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(filter(None, (ln.strip() for ln in fh)), start=1):
+                try:
+                    values = [dtype(v) for v in line.split(",")]
+                except ValueError:
+                    values = None
+                if width is None and values is not None:
+                    width = len(values)
+                if values is None or len(values) != width:
+                    bad = (lineno, line, values)
+                    break
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{os.path.basename(path)}: not {exc.encoding} text") from None
     try:
         table = np.array(rows, dtype=np_dtype)
     except OverflowError:  # an int beyond int64: kept exact for the range checks and labels
@@ -334,19 +338,14 @@ def synth_planted_anomalies(n_graphs: int, nodes_per_graph: int, anomaly_fractio
         n_norm = nodes_per_graph - n_anom
 
         adj = np.zeros((nodes_per_graph, nodes_per_graph))
-        upper = rng.random((n_norm, n_norm)) < edge_p
-        for i in range(n_norm):
-            for j in range(i + 1, n_norm):
-                if upper[i, j]:
-                    adj[i, j] = adj[j, i] = 1.0
-        for h in range(min(n_hubs, n_norm)):
-            for j in range(n_norm):
-                if j != h:
-                    adj[h, j] = adj[j, h] = 1.0
+        hubs = min(n_hubs, n_norm)
+        upper = np.triu(rng.random((n_norm, n_norm)) < edge_p, 1)
+        upper[:hubs] = np.arange(n_norm) > np.arange(hubs)[:, None]  # hubs: wired to every node
+        adj[:n_norm, :n_norm] = upper | upper.T
 
         feats = np.empty((nodes_per_graph, n_features))
         feats[:n_norm] = prototypes[label] + noise_sd * rng.standard_normal((n_norm, n_features))
-        for h in range(min(n_hubs, n_norm)):
+        for h in range(hubs):
             feats[h] = hub_center + hub_sd * rng.standard_normal(n_features)
         for a in range(n_anom):
             direction = np.abs(rng.standard_normal(n_features))

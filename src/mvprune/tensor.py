@@ -7,12 +7,13 @@ constants record nothing, a backward computes no gradient for an operand that
 needs none, and inside `no_grad()` nothing is recorded at all: validation, the
 test split, `sweep`, `export-scores` and `analyze` forward grad-free.
 
-A batch of graphs is one tensor whose rows stack the graphs' nodes, as a
-`Layout` describes; pairwise data (A, A_hat) holds the graphs' n x n blocks
-flat. The ops that take a layout (weight products, propagation, the Gram
-sigmoid, the losses, sums and per-graph products) work graph by graph inside
-one tape node, so a batch builds one tape. A lone graph is a batch of one,
-which these ops assume when given no layout.
+A batch of graphs is one tensor whose rows stack the graphs' nodes in the
+caller's order, as a `Layout` describes; pairwise data (A, A_hat) holds the
+graphs' n x n blocks flat. The ops that take a layout (weight products,
+propagation, the Gram sigmoid, the losses, sums and per-graph products) work
+graph by graph inside one tape node, so a batch builds one tape, and cut it
+only through `Layout`'s methods, bar `gcn_views`' slice of all views' rows.
+A lone graph is a batch of one, which these ops assume when given no layout.
 
 The fused ops `gcn_views` (the multi-view encoder), `gram_sigmoid`
 (sigmoid(Z Z^T)), `clipped_bce`, `mse` and `cross_entropy` are one tape node
@@ -112,16 +113,15 @@ class Layout:
         """A per-node array cut into one array per graph."""
         return np.split(a, np.cumsum(self.sizes)[:-1])
 
-    def runs(self, size: int, per_node: int | None = None) -> list[tuple[int, int]]:
-        """(graphs, entries per graph) of each group of a per-graph array of
-        `size` entries: `per_node` entries per node, or n per node for
-        pairwise data (None). A lone graph has all `size` entries."""
+    def blocks(self, a: np.ndarray, pairwise: bool = False) -> list[np.ndarray]:
+        """Each group's entries of a per-node (or pairwise) array as (graphs,
+        entries per graph) views of its `stacks`; a lone graph's entries as
+        one row."""
         if self._lone:
-            return [(1, size)]
-        runs = [(grp.b, grp.n * (grp.n if per_node is None else per_node)) for grp in self.groups]
-        if sum(count * length for count, length in runs) != size:
-            raise ShapeError(f"{size} entries do not fit a layout of sizes {self.sizes.tolist()}")
-        return runs
+            return [a.reshape(1, -1)]
+        if (a.size != self.pairs) if pairwise else (len(a) != self.rows):
+            raise ShapeError(f"{a.size} entries do not fit a layout of sizes {self.sizes.tolist()}")
+        return [s.reshape(len(s), -1) for s in self.stacks(a, pairwise)]
 
     def spread(self, per_graph: np.ndarray, per_node: int = 1) -> np.ndarray:
         """Each graph's value repeated over its rows' `per_node` entries, flat."""
@@ -129,23 +129,17 @@ class Layout:
 
     def graph_sums(self, a: np.ndarray) -> np.ndarray:
         """Each graph's sum over all entries of its rows of a per-node array."""
-        if self._lone:
-            return np.add.reduce(a.reshape(1, -1), 1)
-        flat, out, start = a.reshape(-1), [], 0
-        for count, length in self.runs(a.size, a.size // len(a)):
-            out.append(np.add.reduce(flat[start:start + count * length].reshape(count, length), 1))
-            start += count * length
-        return out[0] if len(out) == 1 else np.concatenate(out)
+        return self.join([np.add.reduce(b, 1) for b in self.blocks(a)])
 
 
 layout_of = functools.lru_cache(maxsize=512)(Layout)  # one Layout per size tuple, never changed
 
 
-def as_layout(layout: Layout | None, rows: int, check: bool = True) -> Layout:
-    """`layout` (covering `rows` rows if `check`), or else a lone graph's of `rows` nodes."""
+def as_layout(layout: Layout | None, rows: int) -> Layout:
+    """`layout`, checked to cover `rows` rows, or else a lone graph's of `rows` nodes."""
     if layout is None:
         return layout_of((rows,))
-    if check and layout.rows != rows:
+    if layout.rows != rows:
         raise ShapeError(f"layout covers {layout.rows} rows, tensor has {rows}")
     return layout
 
@@ -450,8 +444,8 @@ def gram_sigmoid(z: Tensor, layout: Layout | None = None) -> Tensor:
     in one row (a lone graph's n x n). Backward: dG @ Z + (Z^T @ dG)^T with
     dG = g * s * (1 - s)."""
     layout = as_layout(layout, len(z.values))
-    blocks = []
-    for z3 in layout.stacks(z.values):
+
+    def sigmoid_gram(z3):
         x = z3 @ z3.swapaxes(-1, -2)
         # branch on sign so exp never overflows: 1 / (1 + e) for x >= 0, else
         # e / (1 + e), with e = exp(-|x|); computed in place
@@ -462,8 +456,9 @@ def gram_sigmoid(z: Tensor, layout: Layout | None = None) -> Tensor:
         block = e / denom
         np.divide(1.0, denom, out=denom)
         np.copyto(block, denom, where=x >= 0)
-        blocks.append(block)
-    s = layout.join(blocks, layout.pairs)
+        return block
+
+    s = layout.map(sigmoid_gram, z.values, cols=layout.pairs)
 
     def bw(g):
         def grad(s3, g3, z3):
@@ -487,16 +482,13 @@ def clipped_bce(p: Tensor, target, eps: float, layout: Layout | None = None) -> 
     target = np.asarray(target, dtype=np.float64)
     if target.size != p.values.size:
         raise ShapeError(f"clipped_bce: target {target.shape} != probabilities {p.shape}")
-    layout = as_layout(layout, len(p.values), check=False)
+    layout = layout or layout_of((len(p.values),))
 
     def groups(*arrays):
         """Each group's -1 / (entries per graph), and each array's entries as
         (graphs, entries per graph)."""
-        flats, start = [a.reshape(-1) for a in arrays], 0
-        for count, length in layout.runs(target.size):
-            stop = start + count * length
-            yield -1.0 / length, [f[start:stop].reshape(count, length) for f in flats]
-            start = stop
+        for blocks in zip(*(layout.blocks(a, pairwise=True) for a in arrays)):
+            yield -1.0 / blocks[0].shape[1], blocks
 
     totals = []
     for s, (pg, tg) in groups(p.values, target):

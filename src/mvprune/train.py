@@ -2,11 +2,11 @@
 
 Training is two-phase: the pooling backend and classifier are pretrained on
 the unpruned graphs, then the multi-view pruning layer is enabled and all
-parameters train jointly. Each optimizer step's graphs run as one batch
-(`forward_batch`): their nodes are stacked, graphs of equal size side by side
-(see `tensor.Layout`), so one forward builds one tape and one `backward`
-yields the step's summed gradient. Validation and test forwards run in the
-same batches without a tape. A graph's forward values do not depend on the
+parameters train jointly. Each optimizer step's graphs, sorted by size, run
+as one batch (`forward_batch`): their nodes are stacked, graphs of equal size
+side by side (see `tensor.Layout`), so one forward builds one tape and one
+`backward` yields the step's summed gradient. Validation and test forwards
+run in the same batches without a tape. A graph's forward values do not depend on the
 batch it is in; only the order in which parameter gradients are summed does.
 """
 
@@ -214,8 +214,8 @@ def restore_model(config: TrainConfig, dataset: Dataset, seed: int, state) -> Mv
 @dataclass
 class ForwardResult:
     """One forward over a batch of graphs, a lone graph being a batch of one.
-    Row i of `logits` is the caller's graph `order[i]`; per-node arrays stack
-    those graphs' nodes in the same order, as `layout` describes."""
+    Row i of `logits` is the caller's graph i; per-node arrays stack the
+    graphs' nodes in that order, which `layout.split` cuts per graph."""
     logits: T.Tensor
     pool_args: tuple | None    # mincut_loss' inputs: S, A', layout (None for other backends)
     scores: np.ndarray | None
@@ -223,26 +223,20 @@ class ForwardResult:
     recon_args: tuple | None   # recon_losses' inputs: A, standardized X, A_hat, X_hat, layout
     selection: np.ndarray      # the keep mask that reaches the readout
     layout: T.Layout
-    order: list[int]
-
-    def per_graph(self, values: np.ndarray) -> list[np.ndarray]:
-        """A per-node array cut into one array per graph, in row order."""
-        return self.layout.split(values)
 
 
 def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = None,
                   threshold_c: float | None = None) -> ForwardResult:
-    """One forward over `graphs`, sorted by size and stacked (see `tensor.Layout`).
-    Each graph gets the values its own forward would give, bit for bit."""
+    """One forward over `graphs`, stacked in the order given (see `tensor.Layout`:
+    adjacent graphs of one size share their products, so pass them sorted by
+    size). Each graph gets the values its own forward would give, bit for bit."""
     cfg = model.config
     if use_mvp is None:
         use_mvp = cfg.use_mvp
     c = cfg.threshold_c if threshold_c is None else threshold_c
-    sizes = [g.n for g in graphs]
-    order = sorted(range(len(graphs)), key=sizes.__getitem__)
-    layout = T.layout_of(tuple(sorted(sizes)))
-    adjacency = layout.join([graphs[i].adjacency for i in order])
-    x = layout.join([graphs[i].features for i in order], graphs[0].features.shape[1])
+    layout = T.layout_of(tuple(g.n for g in graphs))
+    adjacency = layout.join([g.adjacency for g in graphs])
+    x = layout.join([g.features for g in graphs], graphs[0].features.shape[1])
     x_std = model.scaler.transform(x)
     scores = recon_args = None
     if use_mvp:
@@ -261,8 +255,7 @@ def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = N
         x_in, a_in = x_std, adjacency
     h_g, pool_args, selection = model.backend.forward(T.Tensor(x_in), a_in, indicator, layout)
     logits = classify(h_g, model.classifier)
-    return ForwardResult(logits, pool_args, scores, indicator, recon_args, selection, layout,
-                         order)
+    return ForwardResult(logits, pool_args, scores, indicator, recon_args, selection, layout)
 
 
 def forward_graph(model: MvpModel, graph: Graph, use_mvp: bool | None = None,
@@ -272,12 +265,13 @@ def forward_graph(model: MvpModel, graph: Graph, use_mvp: bool | None = None,
 
 
 def combined_loss(result: ForwardResult, labels, use_recon: bool = True):
-    """Each graph's unweighted sum of the enabled terms (graphs x 1, in the
-    result's row order) and the terms as per-graph arrays; disabled terms are
-    not built and add 0. The reconstruction and MinCut losses are built only
-    here, from the forward's `recon_args` and `pool_args`. `labels` holds one
-    class per graph in the caller's order, or is one int for a single graph."""
-    labels = np.asarray(labels).reshape(-1)[result.order]
+    """Each graph's unweighted sum of the enabled terms (graphs x 1, one row
+    per graph in the forward's order) and the terms as per-graph arrays;
+    disabled terms are not built and add 0. The reconstruction and MinCut
+    losses are built only here, from the forward's `recon_args` and
+    `pool_args`. `labels` holds one class per graph in the same order, or is
+    one int for a single graph."""
+    labels = np.asarray(labels).reshape(-1)
     loss = T.cross_entropy(result.logits, labels)
     zero = np.zeros(len(labels))
     parts = {"ce": loss.values[:, 0], "la": zero, "lx": zero, "pool": zero}
@@ -303,11 +297,12 @@ def predict(model: MvpModel, graphs: list[Graph], threshold_c: float | None = No
         for start in range(0, len(by_size), step):
             chunk = by_size[start:start + step]
             res = forward_batch(model, [graphs[p] for p in chunk], threshold_c=threshold_c)
-            scores = [None] * len(chunk) if res.scores is None else res.per_graph(res.scores)
-            rows = zip(np.argmax(res.logits.values, axis=1), scores,
-                       res.per_graph(res.indicator), res.per_graph(res.selection))
-            for pos, row in zip(res.order, rows):
-                out[chunk[pos]] = row
+            cut = res.layout.split
+            scores = [None] * len(chunk) if res.scores is None else cut(res.scores)
+            rows = zip(np.argmax(res.logits.values, axis=1), scores, cut(res.indicator),
+                       cut(res.selection))
+            for p, row in zip(chunk, rows):
+                out[p] = row
     return out
 
 
@@ -345,7 +340,7 @@ def _run_phase(model: MvpModel, dataset: Dataset, sp: SplitSpec, seed: int,
     """Pretraining (`joint` False) trains the backend and classifier on the
     unpruned graphs. The joint phase trains every parameter, through the
     pruning layer when the config uses it, and restores the weights of the
-    best validation epoch. Each step is one batch of `batch_size` graphs."""
+    best validation epoch. Each step is one size-sorted batch of `batch_size`."""
     cfg = model.config
     use_mvp = joint and cfg.use_mvp
     epochs = cfg.epochs if joint else cfg.pretrain_epochs
@@ -358,13 +353,15 @@ def _run_phase(model: MvpModel, dataset: Dataset, sp: SplitSpec, seed: int,
         order = order_rng.permutation(sp.train)
         sums = {"ce": 0.0, "la": 0.0, "lx": 0.0, "pool": 0.0}
         for start in range(0, len(order), cfg.batch_size):
-            batch = [dataset.graphs[gi] for gi in order[start:start + cfg.batch_size]]
+            step = order[start:start + cfg.batch_size]  # sorted stably, so ties keep their order
+            ids = sorted(step, key=lambda gi: dataset.graphs[gi].n)
+            batch = [dataset.graphs[gi] for gi in ids]
             res = forward_batch(model, batch, use_mvp=use_mvp)
             loss, parts = combined_loss(res, [g.label for g in batch], cfg.use_recon_loss)
-            bad = np.flatnonzero(~np.isfinite(loss.values[:, 0]))
-            if bad.size:  # name the first graph of the batch whose loss is not finite
-                row = min(bad, key=lambda r: res.order[r])
-                raise TrainingDiverged(seed, epoch, int(order[start + res.order[row]]),
+            bad = {ids[r] for r in np.flatnonzero(~np.isfinite(loss.values[:, 0]))}
+            if bad:  # name the step's first graph whose loss is not finite
+                row = ids.index(next(gi for gi in step if gi in bad))
+                raise TrainingDiverged(seed, epoch, int(ids[row]),
                                        {key: float(v[row]) for key, v in parts.items()})
             opt.zero_grad()
             T.backward(T.tsum(loss))

@@ -384,11 +384,17 @@ def test_a_seed_the_run_did_not_train_is_a_load_error(tmp_path, data_dir, two_se
     assert not (tmp_path / "out").exists()
 
 
-def test_a_non_integer_graph_id_exits_1_naming_the_line(tmp_path, data_dir, capsys):
-    bad = tmp_path / "tiny"
-    bad.mkdir()
+def _copy_of(data_dir, tmp_path):
+    """A copy of the corpus at `data_dir`, to break."""
+    copy = tmp_path / "tiny"
+    copy.mkdir()
     for path in Path(data_dir).iterdir():
-        (bad / path.name).write_bytes(path.read_bytes())
+        (copy / path.name).write_bytes(path.read_bytes())
+    return copy
+
+
+def test_a_non_integer_graph_id_exits_1_naming_the_line(tmp_path, data_dir, capsys):
+    bad = _copy_of(data_dir, tmp_path)
     indicator = bad / "tiny_graph_indicator.txt"
     lines = indicator.read_text().splitlines()
     lines[4] = "1.5"
@@ -397,6 +403,15 @@ def test_a_non_integer_graph_id_exits_1_naming_the_line(tmp_path, data_dir, caps
     assert rc == 1
     assert capsys.readouterr().err == \
         "error: tiny_graph_indicator.txt line 5: cannot parse integer '1.5'\n"
+
+
+def test_a_byte_that_is_not_text_exits_1_naming_the_file(tmp_path, data_dir, capsys):
+    bad = _copy_of(data_dir, tmp_path)
+    attributes = bad / "tiny_node_attributes.txt"
+    attributes.write_bytes(b"\xff" + attributes.read_bytes())
+    rc = cli.main(["train", "--dataset", str(bad), "--out", str(tmp_path / "run")] + SMALL_FLAGS)
+    assert rc == 1
+    assert capsys.readouterr().err == "error: tiny_node_attributes.txt: not utf-8 text\n"
 
 
 def test_version_flag(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import locale
 import os
 import tempfile
 import warnings
@@ -437,6 +439,21 @@ def test_each_load_error_names_its_file_and_line(tmp_path, files, error, message
         assert message.split(": ")[1].startswith(NOT_AN_INT) and isinstance(ref, ValueError)
 
 
+@pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+                    reason="the undecodable byte is chosen for a UTF-8 locale")
+@pytest.mark.parametrize("suffix", ["graph_indicator", "graph_labels", "A", "node_labels",
+                                    "node_attributes"])
+def test_a_file_that_is_not_text_is_a_format_error_naming_it(tmp_path, suffix):
+    files = _faulty(**ATTRS) if suffix == "node_attributes" else _faulty()
+    write_files(tmp_path, "bad", files)
+    path = tmp_path / f"bad_{suffix}.txt"
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:1] + [b"\xff" + lines[1]] + lines[2:]))
+    with pytest.raises(FormatError) as info:
+        graphio.load_tu(str(tmp_path), "bad")
+    assert str(info.value) == f"bad_{suffix}.txt: not utf-8 text"
+
+
 # -- synthetic corpus ------------------------------------------------------
 
 def test_synth_zero_fraction_has_empty_truth():
@@ -447,6 +464,14 @@ def test_synth_zero_fraction_has_empty_truth():
 def test_synth_fraction_out_of_range():
     with pytest.raises(ConfigError):
         graphio.synth_planted_anomalies(10, 12, 0.6, seed=1)
+
+
+def test_synth_acceptance_corpus_is_pinned():
+    # the corpus every acceptance criterion and the planted benchmark train on
+    ds, truth = graphio.synth_planted_anomalies(200, 20, 0.15, seed=7)
+    assert ds.fingerprint() == "0cc5ca9f36b23cf1534e0f11c0f297b9bac3a31dc262ea660ff310a269f7dfb2"
+    assert hashlib.sha256(repr([sorted(t) for t in truth]).encode()).hexdigest() == \
+        "b59d21dce1de50c2e8dd2e2c8b87cd3dbd9190a8fc095c0aa15462cfe0f0f2eb"
 
 
 def test_synth_deterministic():

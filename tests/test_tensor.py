@@ -353,3 +353,19 @@ def test_ops_on_a_one_graph_layout_match_the_plain_product_bit_for_bit(op):
 
     for got, want in zip(run(on_layout), run(reference)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("op", ["graph_sums", "tsum", "clipped_bce"])
+def test_a_mis_sized_array_on_a_multi_graph_layout_is_a_shape_error(op, extra):
+    # graphs of 2, 3 and 3 nodes: 8 rows and 4 + 9 + 9 = 22 pairwise entries;
+    # one row or entry more or fewer is an error, not a silent cut
+    layout = T.layout_of((2, 3, 3))
+    rows, pairs = np.ones((8 + extra, 2)), np.full((1, 22 + extra), 0.5)
+    with pytest.raises(ShapeError):
+        if op == "graph_sums":
+            layout.graph_sums(rows)
+        elif op == "tsum":
+            T.tsum(T.param(rows), layout)
+        else:
+            T.clipped_bce(T.param(pairs), np.ones(pairs.size), prune.LOG_EPS, layout)

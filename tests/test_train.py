@@ -457,7 +457,7 @@ def test_evaluate_builds_no_tape(corpus, monkeypatch):
     monkeypatch.setattr(tr, "forward_batch", capturing)
     model = tr.build_model(tr.TrainConfig.from_dict(dict(SMALL)), corpus, split(corpus, 0), 0)
     tr.evaluate(model, corpus, range(len(corpus)))
-    assert sum(len(r.order) for r in results) == len(corpus)
+    assert sum(len(r.logits.values) for r in results) == len(corpus)
     assert all(r.logits._parents == () and not r.logits.requires_grad for r in results)
     assert tr.forward_graph(model, corpus.graphs[0]).logits._parents  # training still records
 
@@ -589,20 +589,20 @@ def test_batched_forward_matches_lone_forwards_bit_for_bit(mixed_corpus, backend
     graphs = _batch_of_every_shape(mixed_corpus)
     res = tr.forward_batch(model, graphs)
     loss, parts = tr.combined_loss(res, [g.label for g in graphs])
-    assert sorted(res.order) == list(range(len(graphs)))
-    per_graph = zip(res.order, res.per_graph(res.scores), res.per_graph(res.indicator),
-                    res.per_graph(res.selection))
-    for row, (pos, scores, indicator, selection) in enumerate(per_graph):
-        g = graphs[pos]
+    sizes = [g.n for g in graphs]
+    assert sizes != sorted(sizes) and res.layout.sizes.tolist() == sizes  # the caller's order
+    cut = res.layout.split
+    per_graph = zip(graphs, cut(res.scores), cut(res.indicator), cut(res.selection))
+    for row, (g, scores, indicator, selection) in enumerate(per_graph):
         lone = tr.forward_graph(model, g)
         lone_loss, lone_parts = tr.combined_loss(lone, g.label)
-        assert np.array_equal(res.logits.values[row], lone.logits.values[0]), pos
-        assert np.array_equal(scores, lone.scores), pos
-        assert np.array_equal(indicator, lone.indicator), pos
-        assert np.array_equal(selection, lone.selection), pos
-        assert loss.values[row, 0] == lone_loss.item(), pos
+        assert np.array_equal(res.logits.values[row], lone.logits.values[0]), row
+        assert np.array_equal(scores, lone.scores), row
+        assert np.array_equal(indicator, lone.indicator), row
+        assert np.array_equal(selection, lone.selection), row
+        assert loss.values[row, 0] == lone_loss.item(), row
         for key in parts:
-            assert parts[key][row] == lone_parts[key][0], (pos, key)
+            assert parts[key][row] == lone_parts[key][0], (row, key)
     assert res.indicator.sum() < len(res.indicator)  # the threshold dropped nodes
 
 
@@ -649,6 +649,38 @@ def test_training_runs_one_backward_per_step(corpus, monkeypatch):
     assert len(calls) == -(-len(sp.train) // cfg.batch_size)
 
 
+def test_training_steps_are_sorted_by_size_and_cover_the_split(monkeypatch):
+    rng = np.random.default_rng(5)
+    graphs = [Graph(*random_graph(rng, int(rng.integers(3, 7)), d=4), i % 2) for i in range(24)]
+    ds, pos = Dataset(graphs, 4, 2, "ties"), {id(g): i for i, g in enumerate(graphs)}
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, batch_size=8))
+    sp, steps, real = split(ds, 0), [], tr.forward_batch
+
+    def recording(model, batch, *args, **kwargs):
+        if T._grad_enabled:  # a training step, not a validation forward
+            steps.append([pos[id(g)] for g in batch])
+        return real(model, batch, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "forward_batch", recording)
+    tr.train_one(cfg, ds, sp, seed=0)
+    per_epoch = -(-len(sp.train) // cfg.batch_size)
+    assert len(steps) == (cfg.pretrain_epochs + cfg.epochs) * per_epoch
+    for first in range(0, len(steps), per_epoch):  # each epoch covers the train split once
+        assert sorted(sum(steps[first:first + per_epoch], [])) == sp.train
+    for ids in steps:
+        assert all(graphs[a].n <= graphs[b].n for a, b in zip(ids, ids[1:]))
+    # graphs of one size keep the epoch's shuffled order, on which the step's
+    # gradient sum depends
+    want = []
+    for epochs in (cfg.pretrain_epochs, cfg.epochs):  # each phase draws its own epoch orders
+        order_rng = substream(0, "batch")
+        for _ in range(epochs):
+            order = order_rng.permutation(sp.train).tolist()
+            want += [sorted(order[i:i + cfg.batch_size], key=lambda gi: graphs[gi].n)
+                     for i in range(0, len(order), cfg.batch_size)]
+    assert steps == want
+
+
 def test_divergence_names_the_graph_and_keeps_other_seeds(monkeypatch):
     ds, _ = synth_planted_anomalies(60, 10, 0.1, seed=3)
     cfg = tr.TrainConfig.from_dict(dict(SMALL, batch_size=32, seeds=(0, 1, 2)))
@@ -659,7 +691,7 @@ def test_divergence_names_the_graph_and_keeps_other_seeds(monkeypatch):
         res = real(model, graphs, *args, **kwargs)
         if model.partition.seed == 1 and any(g is ds.graphs[target] for g in graphs):
             pos = next(i for i, g in enumerate(graphs) if g is ds.graphs[target])
-            res.logits.values[res.order.index(pos)] = np.nan
+            res.logits.values[pos] = np.nan
         return res
 
     monkeypatch.setattr(tr, "forward_batch", poisoned)
