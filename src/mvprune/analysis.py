@@ -86,10 +86,8 @@ def policy_indicator(policy: str, graph: Graph, scores: np.ndarray | None = None
         keep = np.ones(n)
         keep[order[:n_prune]] = 0.0
         return keep
-    if policy == "degree-lt-3":
-        return (deg >= 3).astype(np.float64)
-    if policy == "degree-lt-4":
-        return (deg >= 4).astype(np.float64)
+    if policy in ("degree-lt-3", "degree-lt-4"):
+        return (deg >= int(policy[-1])).astype(np.float64)
     raise ContractError(f"unknown pruning policy '{policy}'")
 
 

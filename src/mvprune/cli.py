@@ -13,11 +13,12 @@ import json
 import os
 import shutil
 import sys
+import zipfile
 
 import numpy as np
 
 from . import __version__, analysis, train as train_mod
-from .errors import ConfigError, LoadError, MvpruneError
+from .errors import ConfigError, ContractError, FormatError, LoadError, MvpruneError
 from .graphio import load_tu, save_anomaly_truth, save_tu, synth_planted_anomalies, write_csv
 from .pooling import BACKEND_KINDS
 from .prune import export_scores
@@ -104,23 +105,32 @@ def _load_run_model(run_dir: str, dataset, seed: int | None = None):
     manifest_path = os.path.join(run_dir, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise LoadError(f"missing run manifest: {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if manifest["dataset"]["fingerprint"] != dataset.fingerprint():
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        fingerprint, seeds = manifest["dataset"]["fingerprint"], list(manifest["seeds"])
+        config = manifest["config"]
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, or an entry missing
+        raise FormatError(f"damaged run manifest {manifest_path}: "
+                          f"{type(exc).__name__} {exc}") from None
+    if fingerprint != dataset.fingerprint():
         raise MvpruneError("dataset fingerprint does not match the run manifest")
-    config = TrainConfig.from_dict(manifest["config"])
-    if not manifest["seeds"]:
+    config = TrainConfig.from_dict(config)
+    if not seeds:
         raise LoadError(f"run {run_dir} has no trained seed")
     if seed is None:
-        seed = manifest["seeds"][0]
-    elif seed not in manifest["seeds"]:
+        seed = seeds[0]
+    elif seed not in seeds:
         raise LoadError(f"run {run_dir} has no trained seed {seed}; its trained seeds are "
-                        f"{', '.join(map(str, manifest['seeds']))}")
+                        f"{', '.join(map(str, seeds))}")
     model_path = os.path.join(run_dir, "models", f"seed{seed}.npz")
     if not os.path.isfile(model_path):
         raise LoadError(f"missing model weights: {model_path}")
-    with np.load(model_path) as state:
-        return train_mod.restore_model(config, dataset, seed, dict(state)), config
+    try:  # numpy cannot read the file, or its arrays do not fit the model
+        with np.load(model_path) as state:
+            return train_mod.restore_model(config, dataset, seed, dict(state)), config
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, ContractError) as exc:
+        raise FormatError(f"damaged model weights {model_path}: {exc}") from None
 
 
 # -- commands --------------------------------------------------------------

@@ -376,9 +376,13 @@ def load_anomaly_truth(directory: str, name: str) -> list[set[int]]:
         raise LoadError(f"missing ground-truth file: {path}")
     truth = []
     with open(path) as fh:
-        for ln in fh:
+        for lineno, ln in enumerate(fh, start=1):
             ln = ln.strip()
-            truth.append({int(v) for v in ln.split(",")} if ln else set())
+            try:
+                truth.append({int(v) for v in ln.split(",")} if ln else set())
+            except ValueError:
+                raise FormatError(f"{os.path.basename(path)} line {lineno}: "
+                                  f"cannot parse node ids '{ln}'") from None
     return truth
 
 

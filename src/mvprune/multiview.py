@@ -8,7 +8,7 @@ outputs are column-concatenated into the latent matrix Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,8 +25,7 @@ class ViewPartition:
     seed: int
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "columns_per_view": self.columns_per_view,
-                "overlap_ratio": self.overlap_ratio, "seed": self.seed}
+        return asdict(self)
 
 
 def default_overlap_ratio(d: int, k: int) -> float:
@@ -39,21 +38,11 @@ def make_partition(d: int, k: int, overlap_ratio: float, seed: int) -> ViewParti
         raise ConfigError(f"need 1 <= k <= d, got k={k}, d={d}")
     if not 0.0 <= overlap_ratio < 1.0:
         raise ConfigError(f"overlap_ratio must be in [0, 1), got {overlap_ratio}")
-    rng = substream(seed, "partition")
-    shuffled = [int(c) for c in rng.permutation(d)]
-    base, extra = divmod(d, k)
-    chunks, off = [], 0
-    for i in range(k):
-        width = base + (1 if i < extra else 0)
-        chunks.append(shuffled[off:off + width])
-        off += width
-    n_shared = int(overlap_ratio * math.ceil(d / k))
-    cols = []
-    for i in range(k):
-        view = list(chunks[i])
-        if n_shared and k > 1:
-            view.extend(chunks[(i + 1) % k][:n_shared])  # borrow from the cyclic successor
-        cols.append(view)
+    # k chunks of a shuffle, the first d mod k one column wider
+    chunks = [c.tolist() for c in np.array_split(substream(seed, "partition").permutation(d), k)]
+    n_shared = int(overlap_ratio * math.ceil(d / k)) if k > 1 else 0
+    cols = [chunks[i] + chunks[(i + 1) % k][:n_shared]  # borrow from the cyclic successor
+            for i in range(k)]
     return ViewPartition(k, cols, overlap_ratio, seed)
 
 

@@ -8,7 +8,6 @@ readout used.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,14 +121,14 @@ def mincut_loss(s: T.Tensor, adjacency: np.ndarray, layout: T.Layout | None = No
     num = T.tsum(T.mul(s, a_s), layout)
     den = T.tsum(T.mul_const(T.mul(s, s), deg[:, None]), layout)
     # an edgeless graph's 0/0 becomes 0/1: its cut term and gradients are 0
-    ratio = T.mul(num, T.reciprocal(T.add_const(den, 1.0 - edges)))
-    cut = T.scale(ratio, -1.0)
+    ratio = T.mul(num, T.reciprocal(T.add(den, T.Tensor(1.0 - edges))))
+    cut = T.mul_const(ratio, -1.0)
 
     clusters = T.layout_of((k,) * len(layout.sizes))  # S^T S has k rows per graph
     ss = T.transpose_matmul(s, s, layout)
     fro = T.sqrt(T.tsum(T.mul(ss, ss), clusters))
-    normed = T.scale_graphs(ss, T.reciprocal(fro), clusters)
-    resid = T.add_const(normed, np.tile(-np.eye(k) / math.sqrt(k), (ss.rows // k, 1)))
+    normed = T.mul(ss, T.reciprocal(fro), clusters)
+    resid = T.add(normed, T.Tensor(np.tile(-np.eye(k) / np.sqrt(k), (ss.rows // k, 1))))
     ortho = T.sqrt(T.tsum(T.mul(resid, resid), clusters))
     return T.add(cut, ortho)
 

@@ -20,8 +20,8 @@ The fused ops `gcn_views` (the multi-view encoder), `gram_sigmoid`
 each. Their backward repeats the products and elementwise expressions of the
 primitive chain they replace, in its order, so values and gradients are
 bit-identical to that chain. Broadcasting is limited to
-row-vectors over rows (bias add) and 1x1 scalars; everything else must match
-exactly so shape bugs fail loudly.
+row-vectors over rows (bias add) and one value per graph (`mul`, a 1x1 scalar
+for one graph); everything else must match exactly so shape bugs fail loudly.
 """
 
 from __future__ import annotations
@@ -177,9 +177,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def param(values, rng: np.random.Generator | None = None, shape=None) -> Tensor:
@@ -347,23 +344,25 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _op(a.values + b.values, (a, b), bw)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; either operand may be a 1x1 scalar."""
-    a_scalar, b_scalar = a.shape == (1, 1), b.shape == (1, 1)
-    if a.shape != b.shape and not (a_scalar or b_scalar):
-        raise ShapeError(f"mul: {a.shape} * {b.shape}")
-    out_vals = a.values * b.values
-    out_scalar = out_vals.shape == (1, 1)
+def mul(a: Tensor, b: Tensor, layout: Layout | None = None) -> Tensor:
+    """Elementwise product, or each graph's rows of `a` times that graph's
+    entry of `b`, a graphs x 1 column (a 1x1 scalar for one graph)."""
+    if b.shape == a.shape:
+        factor, graphs = b.values, None
+    else:
+        graphs = as_layout(layout, len(a.values))
+        if b.shape != (len(graphs.sizes), 1):
+            raise ShapeError(f"mul: {a.shape} * {b.shape} on {len(graphs.sizes)} graphs")
+        factor = b.values if graphs._lone else graphs.spread(b.values[:, 0])[:, None]
 
     def bw(g):
         if a.requires_grad:
-            ga = g * b.values
-            _accum(a, ga.sum().reshape(1, 1) if a_scalar and not out_scalar else ga)
+            _accum(a, g * factor)
         if b.requires_grad:
             gb = g * a.values
-            _accum(b, gb.sum().reshape(1, 1) if b_scalar and not out_scalar else gb)
+            _accum(b, gb if graphs is None else graphs.graph_sums(gb)[:, None])
 
-    return _op(out_vals, (a, b), bw)
+    return _op(a.values * factor, (a, b), bw)
 
 
 def mul_const(a: Tensor, c) -> Tensor:
@@ -373,18 +372,6 @@ def mul_const(a: Tensor, c) -> Tensor:
     if vals.shape != a.shape:
         raise ShapeError(f"mul_const: constant {c.shape} does not broadcast onto {a.shape}")
     return _op(vals, (a,), lambda g: _accum(a, g * c))
-
-
-def add_const(a: Tensor, c) -> Tensor:
-    c = np.asarray(c, dtype=np.float64)
-    vals = a.values + c
-    if vals.shape != a.shape:
-        raise ShapeError(f"add_const: constant {c.shape} does not broadcast onto {a.shape}")
-    return _op(vals, (a,), lambda g: _accum(a, g))
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    return _op(a.values * s, (a,), lambda g: _accum(a, g * s))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -412,22 +399,6 @@ def tsum(a: Tensor, layout: Layout | None = None) -> Tensor:
     layout = as_layout(layout, len(a.values))
     return _op(layout.graph_sums(a.values)[:, None], (a,),
                lambda g: _accum(a, layout.spread(g[:, 0], a.cols).reshape(a.shape)))
-
-
-def scale_graphs(a: Tensor, w: Tensor, layout: Layout | None = None) -> Tensor:
-    """Each graph's rows of a times that graph's entry of the graphs x 1 tensor w."""
-    layout = as_layout(layout, len(a.values))
-    if w.shape != (len(layout.sizes), 1):
-        raise ShapeError(f"scale_graphs: {w.shape} weights for {len(layout.sizes)} graphs")
-    spread = layout.spread(w.values[:, 0])[:, None]
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * spread)
-        if w.requires_grad:
-            _accum(w, layout.graph_sums(g * a.values)[:, None])
-
-    return _op(a.values * spread, (a, w), bw)
 
 
 def softmax_rows(a: Tensor) -> Tensor:

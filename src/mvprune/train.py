@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, MvpruneError, TrainingDiverged
+from .errors import ConfigError, ContractError, MvpruneError, TrainingDiverged
 from .graphio import Dataset, FeatureScaler, Graph, SplitSpec, split
 from .multiview import (ViewEncoder, ViewPartition, default_overlap_ratio,
                         encode_views_xa, make_partition)
@@ -178,7 +178,14 @@ class MvpModel:
         return {k: p.values.copy() for k, p in self.named_parameters().items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
+        """Set every parameter from `state`: all of them, in their shapes, and nothing else."""
         params = self.named_parameters()
+        wrong = {"missing": params.keys() - state.keys(), "extra": state.keys() - params.keys(),
+                 "mis-shaped": {k for k in params.keys() & state.keys()
+                                if np.shape(state[k]) != params[k].shape}}
+        if any(wrong.values()):
+            raise ContractError("state dict does not fit the model: " + "; ".join(
+                f"{what} {', '.join(sorted(keys))}" for what, keys in wrong.items() if keys))
         for k, v in state.items():
             params[k].values = np.asarray(v, dtype=np.float64).copy()
 
@@ -424,11 +431,8 @@ class TrialReport:
         return float(np.mean(fracs)) if fracs else 0.0
 
     def to_dict(self) -> dict:
-        return {"config": self.config, "seeds": self.seeds,
-                "accuracies": self.accuracies,
-                "mean_accuracy": self.mean_accuracy, "std_accuracy": self.std_accuracy,
-                "failures": self.failures, "prune_stats": self.prune_stats,
-                "partitions": self.partitions, "traces": self.traces}
+        return dict(dataclasses.asdict(self), mean_accuracy=self.mean_accuracy,
+                    std_accuracy=self.std_accuracy)
 
 
 def _trial(config: TrainConfig, dataset: Dataset, seed: int) -> dict:

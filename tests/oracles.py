@@ -214,6 +214,15 @@ def matmul_ref(a, b):
     return T._op(a.values @ b.values, (a, b), bw)
 
 
+def scalar_mul_ref(a, s):
+    """a times the 1x1 s, a plain numpy broadcast; s's gradient one plain sum."""
+    def bw(g):
+        T._accum(a, g * s.values)
+        T._accum(s, (g * a.values).sum().reshape(1, 1))
+
+    return T._op(a.values * s.values, (a, s), bw)
+
+
 def _sigmoid_ref(a):
     x = a.values
     s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
@@ -228,6 +237,10 @@ def _log_ref(a):
 def _exp_ref(a):
     e = np.exp(a.values)
     return T._op(e, (a,), lambda g: T._accum(a, g * e))
+
+
+def _add_const_ref(a, c):
+    return T._op(a.values + c, (a,), lambda g: T._accum(a, g))
 
 
 def _clip_ref(a, lo, hi):
@@ -268,20 +281,20 @@ def recon_losses_ref(adjacency, features, a_hat, x_hat):
     n, d = features.shape
     a_c = _clip_ref(a_hat, prune.LOG_EPS, 1.0 - prune.LOG_EPS)
     pos = T.mul_const(_log_ref(a_c), adjacency)
-    neg = T.mul_const(_log_ref(T.add_const(T.scale(a_c, -1.0), 1.0)), 1.0 - adjacency)
-    la = T.scale(T.tsum(T.add(pos, neg)), -1.0 / (n * n))
-    diff = T.add_const(T.scale(x_hat, -1.0), features)
-    lx = T.scale(T.tsum(T.mul(diff, diff)), 1.0 / (n * d))
+    neg = T.mul_const(_log_ref(_add_const_ref(T.mul_const(a_c, -1.0), 1.0)), 1.0 - adjacency)
+    la = T.mul_const(T.tsum(T.add(pos, neg)), -1.0 / (n * n))
+    diff = _add_const_ref(T.mul_const(x_hat, -1.0), features)
+    lx = T.mul_const(T.tsum(T.mul(diff, diff)), 1.0 / (n * d))
     return la, lx, T.add(la, lx)
 
 
 def cross_entropy_ref(logits, label):
     """`T.cross_entropy` as a chain of one-step tape ops."""
     shift = float(logits.values.max())  # constant shift; softmax is invariant
-    z = T.add_const(logits, -shift)
+    z = _add_const_ref(logits, -shift)
     lse = _log_ref(T.tsum(_exp_ref(z)))
     picked = _slice_cols_ref(z, [label])
-    return T.add(lse, T.scale(picked, -1.0))
+    return T.add(lse, T.mul_const(picked, -1.0))
 
 
 def _gcn_ref(h, weight, adjacency, activation=T.relu):
@@ -313,7 +326,7 @@ def _div_rows_ref(a, r):
 
 
 def _softmax_ref(a):
-    e = _exp_ref(T.add_const(a, -a.values.max(axis=1, keepdims=True)))
+    e = _exp_ref(_add_const_ref(a, -a.values.max(axis=1, keepdims=True)))
     return _div_rows_ref(e, _row_sums_ref(e))
 
 
@@ -331,14 +344,14 @@ def _mincut_ref(h, adjacency, assign_w, assign_b):
     s = _softmax_ref(T.add(matmul_ref(h, assign_w), assign_b))
     x_coarse = matmul_ref(transpose_ref(s), h)
     ss = matmul_ref(transpose_ref(s), s)
-    resid = T.add_const(T.mul(ss, T.reciprocal(T.sqrt(T.tsum(T.mul(ss, ss))))),
-                        -np.eye(k) / np.sqrt(k))
+    resid = _add_const_ref(T.mul(ss, T.reciprocal(T.sqrt(T.tsum(T.mul(ss, ss))))),
+                           -np.eye(k) / np.sqrt(k))
     loss = T.sqrt(T.tsum(T.mul(resid, resid)))
     deg = adjacency.sum(axis=1)
     if deg.sum() > 0:
         num = T.tsum(T.mul(s, matmul_ref(T.Tensor(adjacency), s)))
         den = T.tsum(T.mul_const(T.mul(s, s), deg[:, None]))
-        loss = T.add(T.scale(T.mul(num, T.reciprocal(den)), -1.0), loss)
+        loss = T.add(T.mul_const(T.mul(num, T.reciprocal(den)), -1.0), loss)
     return x_coarse, loss
 
 

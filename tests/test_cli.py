@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +382,52 @@ def test_a_seed_the_run_did_not_train_is_a_load_error(tmp_path, data_dir, two_se
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"run {two_seed_run} has no trained seed 2" in err
+    assert not (tmp_path / "out").exists()
+
+
+DAMAGES = ["manifest-not-json", "manifest-without-fingerprint", "weights-not-numpy",
+           "weights-with-an-unknown-key", "weights-with-a-mis-shaped-key", "weights-of-clf.b2-only"]
+
+
+def _damage(run, case):
+    """Break the copy of a run at `run` as `case` names; returns the name of
+    the file it broke and what the error line must also say."""
+    manifest, weights = run / "manifest.json", run / "models" / "seed0.npz"
+    with np.load(weights) as npz:
+        state = dict(npz)
+    if case == "manifest-not-json":
+        manifest.write_text("{not json")
+        return "manifest.json", "JSONDecodeError"
+    if case == "manifest-without-fingerprint":
+        content = json.loads(manifest.read_text())
+        del content["dataset"]["fingerprint"]
+        manifest.write_text(json.dumps(content))
+        return "manifest.json", "KeyError 'fingerprint'"
+    if case == "weights-not-numpy":
+        weights.write_bytes(b"weights")
+        return "seed0.npz", ""
+    if case == "weights-with-an-unknown-key":
+        np.savez(weights, bogus=np.ones(2), **state)
+        return "seed0.npz", "extra bogus"
+    if case == "weights-with-a-mis-shaped-key":
+        np.savez(weights, **dict(state, **{"clf.b2": np.ones((1, 5))}))
+        return "seed0.npz", "mis-shaped clf.b2"
+    np.savez(weights, **{"clf.b2": state["clf.b2"]})  # the rest of the model stays untrained
+    return "seed0.npz", "missing clf.b1, clf.w1, clf.w2, recon.b"
+
+
+@pytest.mark.parametrize("command", [["export-scores"], ["analyze", "centrality"]])
+@pytest.mark.parametrize("case", DAMAGES)
+def test_a_damaged_run_exits_1_naming_the_file(tmp_path, data_dir, run_dir, case, command,
+                                               capsys):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    file_name, detail = _damage(run, case)
+    rc = cli.main([*command, "--dataset", data_dir, "--run", str(run),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: damaged ") and file_name in line and detail in line
     assert not (tmp_path / "out").exists()
 
 

@@ -496,6 +496,14 @@ def test_anomaly_truth_roundtrip(tmp_path):
     assert graphio.load_anomaly_truth(str(tmp_path), "x") == truth
 
 
+@pytest.mark.parametrize("bad", ["1,x", "1.5", "2,,3"])
+def test_a_non_integer_anomaly_entry_is_a_format_error_naming_the_line(tmp_path, bad):
+    (tmp_path / "x_anomalies.txt").write_text(f"0, 3\n\n{bad}\n4\n")
+    with pytest.raises(FormatError) as exc:
+        graphio.load_anomaly_truth(str(tmp_path), "x")
+    assert str(exc.value) == f"x_anomalies.txt line 3: cannot parse node ids '{bad}'"
+
+
 # -- splits ----------------------------------------------------------------
 
 def test_split_100_graphs():

@@ -6,7 +6,7 @@ from mvprune import multiview, prune, tensor as T
 from mvprune.errors import ContractError, ShapeError
 
 from oracles import (cross_entropy_ref, finite_diff, gcn_views_ref, gram_sigmoid_ref, matmul_ref,
-                     random_graph, recon_losses_ref, rel_err, transpose_ref)
+                     random_graph, recon_losses_ref, rel_err, scalar_mul_ref, transpose_ref)
 
 
 def test_matmul_identity():
@@ -78,7 +78,7 @@ def test_backward_sum_gives_ones():
 def test_backward_half_squared_norm_gives_w():
     rng = np.random.default_rng(3)
     w = T.param(rng.normal(size=(3, 3)))
-    T.backward(T.scale(T.tsum(T.mul(w, w)), 0.5))
+    T.backward(T.mul_const(T.tsum(T.mul(w, w)), 0.5))
     assert np.allclose(w.grad, w.values)
 
 
@@ -181,12 +181,12 @@ def _ops_on(a, b, row):
     that take a layout also to a batch of two 2-node graphs."""
     two = T.Layout((2, 2))
     return [T.matmul(a, b), T.add(a, b), T.add(a, row), T.mul(a, b), T.mul_const(a, 2.0),
-            T.add_const(a, 1.0), T.scale(a, 3.0), T.relu(a), T.tanh(a), T.sqrt(T.mul(a, a)),
-            T.reciprocal(T.add_const(T.mul(a, a), 1.0)), T.tsum(a), T.softmax_rows(a),
-            T.gram_sigmoid(a), T.clipped_bce(T.softmax_rows(a), np.eye(4), 1e-7),
+            T.mul(a, T.tsum(b)), T.relu(a), T.tanh(a), T.sqrt(T.mul(a, a)),
+            T.reciprocal(T.add(T.mul(a, a), T.Tensor(np.ones((4, 4))))), T.tsum(a),
+            T.softmax_rows(a), T.gram_sigmoid(a), T.clipped_bce(T.softmax_rows(a), np.eye(4), 1e-7),
             T.mse(a, np.ones((4, 4))), T.cross_entropy(row, 2),
             T.matmul(a, b, two), T.propagate(np.ones(8), a, two), T.transpose_matmul(a, b, two),
-            T.tsum(a, two), T.scale_graphs(a, T.tsum(b, two), two), T.gram_sigmoid(a, two),
+            T.tsum(a, two), T.mul(a, T.tsum(b, two), two), T.gram_sigmoid(a, two),
             T.clipped_bce(T.gram_sigmoid(a, two), np.full(8, 0.5), 1e-7, two),
             T.mse(a, b.values, two), T.cross_entropy(a, [0, 1, 2, 3]),
             T.gcn_views(np.ones((4, 4)), [[0, 1, 2, 3]], [a], [b], np.eye(4))]
@@ -211,7 +211,7 @@ def test_ops_on_a_parameter_join_the_tape():
 def test_constant_operand_gets_no_gradient():
     rng = np.random.default_rng(12)
     const = T.Tensor(rng.normal(size=(3, 4)))
-    derived = T.scale(const, 2.0)  # an op on a constant is a constant too
+    derived = T.mul_const(const, 2.0)  # an op on a constant is a constant too
     w = T.param(rng.normal(size=(4, 2)))
     T.backward(T.add(T.tsum(T.matmul(const, w)), T.tsum(T.matmul(derived, w))))
     assert const.grad is None and derived.grad is None
@@ -252,7 +252,7 @@ def test_fused_recon_ops_match_tape_oracles_bit_for_bit(n, d, seed, weighted, z_
         z, x_hat = T.param(zv.copy()), T.param(xv.copy())
         a_hat = gram_sigmoid(z)
         la, lx, lr = losses(adj, feats, a_hat, x_hat)
-        T.backward(T.scale(lr, 0.3))  # an upstream gradient other than 1
+        T.backward(T.mul_const(lr, 0.3))  # an upstream gradient other than 1
         z2 = T.param(zv.copy())
         T.backward(T.tsum(T.mul_const(gram_sigmoid(z2), weights)))
         return [a_hat.values, la.values, lx.values, lr.values, z.grad, x_hat.grad, z2.grad]
@@ -280,7 +280,7 @@ def test_clipped_bce_matches_tape_oracle_at_the_clip_bit_for_bit(n, seed, weight
     def run(losses):
         p = T.param(pv.copy())
         la = losses(adj, feats, p, T.Tensor(feats))[0]
-        T.backward(T.scale(la, 0.3))
+        T.backward(T.mul_const(la, 0.3))
         return la.values, p.grad
 
     for g, w in zip(run(prune.recon_losses), run(recon_losses_ref)):
@@ -297,7 +297,7 @@ def test_cross_entropy_matches_tape_oracle_bit_for_bit(c, seed, scale):
     def run(ce):
         logits = T.param(values.copy())
         loss = ce(logits, label)
-        T.backward(T.scale(loss, 0.3))
+        T.backward(T.mul_const(loss, 0.3))
         return loss.values, logits.grad
 
     for g, w in zip(run(T.cross_entropy), run(cross_entropy_ref)):
@@ -327,7 +327,7 @@ def _lone_op_and_reference(op):
         "tsum": ((a,), lambda p: T.tsum(p, lone),
                  lambda p: T._op(p.values.sum().reshape(1, 1), (p,),
                                  lambda g: T._accum(p, np.full(p.shape, g[0, 0])))),
-        "scale_graphs": ((h, np.array([[1.7]])), lambda p, q: T.scale_graphs(p, q, lone), T.mul),
+        "mul": ((h, np.array([[1.7]])), lambda p, q: T.mul(p, q, lone), scalar_mul_ref),
         "gram_sigmoid": ((h,), lambda p: T.gram_sigmoid(p, lone), gram_sigmoid_ref),
         "clipped_bce": ((probs,), lambda p: T.clipped_bce(p, adj, eps, lone),
                         lambda p: recon_losses_ref(adj, feats, p, one(feats))[0]),
@@ -337,7 +337,7 @@ def _lone_op_and_reference(op):
 
 
 @pytest.mark.parametrize("op", ["matmul", "propagate", "gcn_views", "transpose_matmul", "tsum",
-                                "scale_graphs", "gram_sigmoid", "clipped_bce", "mse"])
+                                "mul", "gram_sigmoid", "clipped_bce", "mse"])
 def test_ops_on_a_one_graph_layout_match_the_plain_product_bit_for_bit(op):
     # a lone graph runs every layout op as a batch of one; its values and, under
     # an upstream gradient other than 1, its gradients must be those of the
@@ -356,10 +356,11 @@ def test_ops_on_a_one_graph_layout_match_the_plain_product_bit_for_bit(op):
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
-@pytest.mark.parametrize("op", ["graph_sums", "tsum", "clipped_bce"])
+@pytest.mark.parametrize("op", ["graph_sums", "tsum", "clipped_bce", "mul"])
 def test_a_mis_sized_array_on_a_multi_graph_layout_is_a_shape_error(op, extra):
     # graphs of 2, 3 and 3 nodes: 8 rows and 4 + 9 + 9 = 22 pairwise entries;
-    # one row or entry more or fewer is an error, not a silent cut
+    # one row or entry more or fewer, or one graph's value more or fewer, is an
+    # error, not a silent cut
     layout = T.layout_of((2, 3, 3))
     rows, pairs = np.ones((8 + extra, 2)), np.full((1, 22 + extra), 0.5)
     with pytest.raises(ShapeError):
@@ -367,5 +368,7 @@ def test_a_mis_sized_array_on_a_multi_graph_layout_is_a_shape_error(op, extra):
             layout.graph_sums(rows)
         elif op == "tsum":
             T.tsum(T.param(rows), layout)
+        elif op == "mul":
+            T.mul(T.param(np.ones((8, 2))), T.param(np.ones((3 + extra, 1))), layout)
         else:
             T.clipped_bce(T.param(pairs), np.ones(pairs.size), prune.LOG_EPS, layout)

@@ -115,7 +115,7 @@ def test_adam_decreases_quadratic():
     opt = tr.Adam([w], lr=0.1)
     for _ in range(200):
         opt.zero_grad()
-        T.backward(T.scale(T.tsum(T.mul(w, w)), 0.5))
+        T.backward(T.mul_const(T.tsum(T.mul(w, w)), 0.5))
         opt.step()
     assert np.abs(w.values).max() < 0.5
 
@@ -124,7 +124,7 @@ def test_adam_matches_manual_first_step():
     w = T.param([[1.0]])
     opt = tr.Adam([w], lr=0.01)
     opt.zero_grad()
-    T.backward(T.scale(T.tsum(T.mul(w, w)), 0.5))  # grad = w = 1
+    T.backward(T.mul_const(T.tsum(T.mul(w, w)), 0.5))  # grad = w = 1
     opt.step()
     # bias-corrected first step moves by lr * g / (|g| + eps)
     assert w.values[0, 0] == pytest.approx(1.0 - 0.01, rel=1e-6)
@@ -508,6 +508,40 @@ def test_mincut_forward_op_budget(monkeypatch):
     count[0] = 0
     tr.combined_loss(tr.forward_batch(model, ds.graphs), [g.label for g in ds.graphs])
     assert count[0] <= 46  # a training step builds the loss all the same
+
+
+# a fixed corpus of mixed sizes, 4 to 210 nodes with repeats, so that a step
+# holds size groups of one graph and of several
+BUDGET_SIZES = (4, 6, 9, 9, 12, 12, 12, 15, 18, 18, 22, 25, 25, 25, 30, 38, 45, 60, 70, 90, 130,
+                210)
+# per backend: tape nodes of a pretraining step and of a joint step, and
+# normalize_adjacency calls per train_one. Each is an upper bound at today's
+# count; a change that does less work lowers it.
+WORK_BUDGETS = {"mean": (11, 30, 34), "mincut": (44, 63, 85)}
+
+
+@pytest.mark.parametrize("backend", sorted(WORK_BUDGETS))
+def test_training_work_stays_within_its_budget(monkeypatch, backend):
+    graphs = [synth_planted_anomalies(2, n, 0.1, seed=i)[0].graphs[i % 2]
+              for i, n in enumerate(BUDGET_SIZES)]
+    ds = Dataset(graphs, 8, 2, "mixed")
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend))
+    nodes, normalized = [], []
+    real_backward, real_normalize = T.backward, mv.normalize_adjacency
+
+    def counting_backward(root):  # each step's T.tsum(loss)
+        nodes.append(len(T._toposort(root)))
+        real_backward(root)
+
+    monkeypatch.setattr(T, "backward", counting_backward)
+    monkeypatch.setattr(mv, "normalize_adjacency",
+                        lambda a: normalized.append(a.shape) or real_normalize(a))
+    tr.train_one(cfg, ds, split(ds, 0), seed=0)
+    pretrain, joint, normalize_calls = WORK_BUDGETS[backend]
+    steps = 3  # 17 training graphs in steps of 8
+    assert len(nodes) == steps * (cfg.pretrain_epochs + cfg.epochs)
+    assert max(nodes[:steps]) <= pretrain and max(nodes[steps:]) <= joint
+    assert len(normalized) <= normalize_calls
 
 
 @pytest.mark.parametrize("backend", BACKEND_KINDS)
