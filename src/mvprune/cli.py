@@ -25,6 +25,9 @@ from .prune import export_scores
 from .train import TrainConfig, run_trials
 
 EXIT_OK, EXIT_ERROR, EXIT_CONFIG = 0, 1, 2
+# large graphs' products round by the BLAS thread count, so a replay is
+# byte-identical only at the same counts; the manifest records them
+THREAD_VARIABLES = ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 
 def _resolve_dataset_dir(path: str) -> str:
@@ -69,6 +72,7 @@ def _write_manifest(out: str, config: TrainConfig, dataset, dataset_path: str,
         "dataset": {"path": os.path.abspath(dataset_path), "name": dataset.name,
                     "fingerprint": dataset.fingerprint()},
         "config": config.to_dict(),
+        "environment": {name: os.environ.get(name) for name in THREAD_VARIABLES},
         "seeds": report.seeds,  # the trained seeds; a failed seed has no weights
         "partitions": report.partitions,
         "artifacts": sorted(f for f in os.listdir(out) if f != "manifest.json"),
@@ -210,6 +214,7 @@ def cmd_export_scores(args) -> int:
     dataset = _load_dataset(args.dataset, args.name)
     model, _ = _load_run_model(args.run, dataset, args.seed)
     out = args.out or os.path.join(args.run, "scores.csv")
+    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
     export_scores(_score_rows(model, dataset), out)
     print(f"wrote {out}")
     return EXIT_OK

@@ -65,25 +65,32 @@ class ViewEncoder:
         return sum(w.cols for w in self.gcn_weights)
 
 
-def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
+def normalize_adjacency(adjacency: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """D^{-1/2} (A + I) D^{-1/2} with degrees from A + I; the I goes on the diagonal.
 
     `adjacency` is one n x n matrix or a (b, n, n) stack of them. Constant with
-    respect to training, so it enters the tape as a constant.
+    respect to training, so it enters the tape as a constant. With a 0/1 `keep`
+    mask (n, or b x n), the matrix of A' = A m m^T, bit for bit and without
+    building A': for 0/1 entries the degree sums are exact integers either
+    way, and a dropped node's row and column are 0 bar its 1 on the diagonal.
     """
     n = adjacency.shape[-1]
-    inv_sqrt = 1.0 / np.sqrt(adjacency.sum(axis=-1) + 1.0)
-    prop = inv_sqrt[..., :, None] * adjacency
-    prop *= inv_sqrt[..., None, :]
+    deg = adjacency.sum(axis=-1) if keep is None else keep * (adjacency @ keep[..., None])[..., 0]
+    inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
+    side = inv_sqrt if keep is None else keep * inv_sqrt
+    prop = side[..., :, None] * adjacency
+    prop *= side[..., None, :]
     diagonal = prop.reshape(prop.shape[:-2] + (n * n,))[..., ::n + 1]
     diagonal += inv_sqrt * inv_sqrt
     return prop
 
 
-def propagation(adjacency: np.ndarray, layout: T.Layout) -> np.ndarray:
-    """`normalize_adjacency` of each graph's block, shaped like `adjacency`
-    (see `tensor.Layout`)."""
-    return layout.map(normalize_adjacency, adjacency, pairwise=1).reshape(adjacency.shape)
+def propagation(adjacency: np.ndarray, layout: T.Layout, keep: np.ndarray | None = None
+                ) -> np.ndarray:
+    """`normalize_adjacency` of each graph's block (masked by its rows of
+    `keep` if given), shaped like `adjacency` (see `tensor.Layout`)."""
+    masks = () if keep is None else (keep,)
+    return layout.map(normalize_adjacency, adjacency, *masks, pairwise=1).reshape(adjacency.shape)
 
 
 def gcn_layer(h: T.Tensor, weight: T.Tensor, propagation: np.ndarray,

@@ -1,9 +1,11 @@
 """Pooling backends consuming the pruned graph, plus the classifier head.
 
-Every backend maps (X', A', indicator) to a fixed-width graph vector, the
+Every backend maps (X', A, indicator) to a fixed-width graph vector, the
 inputs of its auxiliary loss (MinCut's `mincut_loss`, which only the training
 loss builds; None for the others, meaning exactly zero) and the keep-mask its
-readout used.
+readout used. The backends that read A see the pruned A' = A m m^T through the
+indicator m (the masked `multiview.normalize_adjacency`); only MinCut's
+training loss builds A' itself.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import ConfigError, ContractError
 from .multiview import gcn_layer
 
 BACKEND_KINDS = ("mean", "sum", "gcn-sum", "attention-topk", "feature-topk", "mincut")
-ADJACENCY_KINDS = ("gcn-sum", "attention-topk", "mincut")  # the backends that read A'
+ADJACENCY_KINDS = ("gcn-sum", "attention-topk", "mincut")  # the backends that read A
 BACKEND_WIDTH = 32  # the output width of the gcn-sum and mincut backends
 
 
@@ -67,10 +69,11 @@ def select_topk(scores: np.ndarray, keep_ratio: float, eligible: np.ndarray | No
 
 
 def attention_score(x: T.Tensor, adjacency: np.ndarray, weight: T.Tensor,
-                    layout: T.Layout | None = None) -> T.Tensor:
-    """Self-attention node score (SAGPool): a 1-output GCN of x, n x 1."""
+                    layout: T.Layout | None = None, keep: np.ndarray | None = None) -> T.Tensor:
+    """Self-attention node score (SAGPool): a 1-output GCN of x over A, or
+    over A' = A m m^T with a `keep` mask m; n x 1."""
     layout = T.as_layout(layout, len(x.values))
-    return gcn_layer(x, weight, multiview.propagation(adjacency, layout), activation=None,
+    return gcn_layer(x, weight, multiview.propagation(adjacency, layout, keep), activation=None,
                      layout=layout)
 
 
@@ -109,12 +112,17 @@ def mincut_pool(h: T.Tensor, assign_w: T.Tensor, assign_b: T.Tensor,
     return s, T.transpose_matmul(s, h, layout)
 
 
-def mincut_loss(s: T.Tensor, adjacency: np.ndarray, layout: T.Layout | None = None) -> T.Tensor:
+def mincut_loss(s: T.Tensor, adjacency: np.ndarray, layout: T.Layout | None = None,
+                keep: np.ndarray | None = None) -> T.Tensor:
     """MinCut's auxiliary loss of the assignment S, one row per graph: the cut
     term -tr(S^T A S)/tr(S^T D S) (0 for edgeless graphs) plus the
-    orthogonality term ||S^T S / ||S^T S||_F - I/sqrt(K)||_F."""
+    orthogonality term ||S^T S / ||S^T S||_F - I/sqrt(K)||_F. With a `keep`
+    mask m, A is the pruned A' = A m m^T, built here (A itself if m keeps all)."""
     k = s.cols
     layout = T.as_layout(layout, len(s.values))
+    if keep is not None and not keep.all():
+        adjacency = layout.map(lambda a, m: a * m[..., :, None] * m[..., None, :],
+                               adjacency, keep, pairwise=1)
     a_s = T.propagate(adjacency, s, layout)
     deg = layout.map(lambda a: a.sum(axis=-1), adjacency, pairwise=1)
     edges = (layout.graph_sums(deg) > 0).astype(np.float64)[:, None]
@@ -142,16 +150,18 @@ class PoolBackend:
     params: dict = field(default_factory=dict)          # name -> Tensor
     keep_ratio: float = 0.75
 
-    def forward(self, x_prime: T.Tensor, a_prime: np.ndarray, indicator: np.ndarray,
+    def forward(self, x_prime: T.Tensor, adjacency: np.ndarray | None, indicator: np.ndarray,
                 layout: T.Layout | None = None):
         """Returns (h_G, pool_args, selection): one row of h_G per graph (see
         `tensor.Layout`; one graph without a layout). `pool_args` holds
-        `mincut_loss`'s inputs (S, A', layout) for MinCut, else None.
+        `mincut_loss`'s inputs (S, A, layout, indicator) for MinCut, else None.
 
         `selection` is the keep-mask that reaches the readout: the top-k
         kinds' own selection within `indicator`, else `indicator` itself.
         MinCut's h_G does not depend on its assignment S (see `mincut_pool`).
-        Only the `ADJACENCY_KINDS` read `a_prime`; MVP passes the others None.
+        Only the `ADJACENCY_KINDS` read `adjacency`, as the pruned graph
+        A' = A m m^T of the 0/1 `indicator` m, so A and A' give the same
+        bits; MVP passes the others None.
         """
         layout = T.as_layout(layout, len(x_prime.values))
         if self.kind == "mean":
@@ -159,22 +169,23 @@ class PoolBackend:
         if self.kind == "sum":
             return masked_sum_readout(x_prime, indicator, layout), None, indicator
         if self.kind == "gcn-sum":
-            h = gcn_layer(x_prime, self.params["w"], multiview.propagation(a_prime, layout),
-                          layout=layout)
+            h = gcn_layer(x_prime, self.params["w"],
+                          multiview.propagation(adjacency, layout, indicator), layout=layout)
             return masked_sum_readout(h, indicator, layout), None, indicator
         if self.kind in ("attention-topk", "feature-topk"):
-            score = (attention_score(x_prime, a_prime, self.params["score_w"], layout)
+            score = (attention_score(x_prime, adjacency, self.params["score_w"], layout,
+                                     indicator)
                      if self.kind == "attention-topk" else
                      feature_score(x_prime, self.params["proj"], layout))
             x_kept, sel = topk_pool(x_prime, score, self.keep_ratio, indicator, layout)
             return masked_mean_readout(x_kept, sel, layout), None, sel
         if self.kind == "mincut":
-            h = gcn_layer(x_prime, self.params["gcn_w"], multiview.propagation(a_prime, layout),
-                          layout=layout)
+            h = gcn_layer(x_prime, self.params["gcn_w"],
+                          multiview.propagation(adjacency, layout, indicator), layout=layout)
             s, x_coarse = mincut_pool(h, self.params["assign_w"], self.params["assign_b"], layout)
             mean = T.Tensor(np.full((x_coarse.rows, 1), 1.0 / s.cols))
             h_g = T.transpose_matmul(mean, x_coarse, T.layout_of((s.cols,) * len(layout.sizes)))
-            return h_g, (s, a_prime, layout), indicator
+            return h_g, (s, adjacency, layout, indicator), indicator
         raise ConfigError(f"unknown backend kind '{self.kind}'; valid: {BACKEND_KINDS}")
 
 

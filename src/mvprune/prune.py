@@ -6,7 +6,9 @@ the reconstruction losses are one op each: the clipped edge BCE
 hard keep/drop decision and are computed outside the tape from the values of
 A_hat and X_hat; the indicator enters the training graph only as a constant
 mask, so gradients reach the encoder and decoders exclusively through the
-reconstruction losses.
+reconstruction losses. The forward masks only X (`apply_mask`): the backends
+that read the graph take A and the indicator, and see the pruned A' through
+the masked propagation of `multiview.normalize_adjacency`.
 """
 
 from __future__ import annotations
@@ -63,8 +65,13 @@ def node_scores(adjacency: np.ndarray, features: np.ndarray, a_hat: np.ndarray,
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda must be in [0, 1], got {lam}")
     layout = T.as_layout(layout, len(features))
-    adj_err = layout.map(lambda a, p: ((a - p) ** 2).sum(axis=-1), adjacency, a_hat,
-                         pairwise=2)
+
+    def squared_residuals(a, p):
+        d = a - p
+        d *= d  # (a - p) ** 2 in place: numpy squares by x * x
+        return d.sum(axis=-1)
+
+    adj_err = layout.map(squared_residuals, adjacency, a_hat, pairwise=2)
     feat_err = ((features - x_hat) ** 2).sum(axis=1)
     return lam * adj_err + (1.0 - lam) * feat_err
 
@@ -115,7 +122,8 @@ def apply_mask(features: np.ndarray, adjacency: np.ndarray | None, indicator: np
 
     Shapes are unchanged; downstream readouts must exclude masked nodes
     explicitly. With a layout, `adjacency` holds each graph's block flat.
-    Without an adjacency (for a backend that does not read A'), A' is None.
+    Without an adjacency, A' is None: the forward passes none, since the
+    backends that read the graph take A and the indicator instead.
     """
     ind = np.asarray(indicator, dtype=np.float64)
     if ind.shape != (features.shape[0],):

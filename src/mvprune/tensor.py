@@ -413,11 +413,21 @@ def softmax_rows(a: Tensor) -> Tensor:
 def gram_sigmoid(z: Tensor, layout: Layout | None = None) -> Tensor:
     """sigmoid(Z Z^T) of each graph, symmetric by construction: the blocks flat
     in one row (a lone graph's n x n). Backward: dG @ Z + (Z^T @ dG)^T with
-    dG = g * s * (1 - s)."""
+    dG = g * s * (1 - s).
+
+    A Z with no negative entry (the encoder's ReLU output) has a Gram with
+    none either, whose sigmoid is 1 / (1 + exp(-x)) in place: the float
+    operations of the x >= 0 branch below, without the branch's passes."""
     layout = as_layout(layout, len(z.values))
+    nonnegative = z.values.min() >= 0.0  # False for a Z holding NaN
 
     def sigmoid_gram(z3):
         x = z3 @ z3.swapaxes(-1, -2)
+        if nonnegative:
+            np.negative(x, out=x)
+            np.exp(x, out=x)
+            x += 1.0
+            return np.divide(1.0, x, out=x)
         # branch on sign so exp never overflows: 1 / (1 + e) for x >= 0, else
         # e / (1 + e), with e = exp(-|x|); computed in place
         e = np.abs(x)

@@ -224,7 +224,7 @@ class ForwardResult:
     Row i of `logits` is the caller's graph i; per-node arrays stack the
     graphs' nodes in that order, which `layout.split` cuts per graph."""
     logits: T.Tensor
-    pool_args: tuple | None    # mincut_loss' inputs: S, A', layout (None for other backends)
+    pool_args: tuple | None    # mincut_loss' inputs: S, A, layout, indicator (else None)
     scores: np.ndarray | None
     indicator: np.ndarray      # MVP's keep mask
     recon_args: tuple | None   # recon_losses' inputs: A, standardized X, A_hat, X_hat, layout
@@ -255,8 +255,9 @@ def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = N
         # a stop-gradient, not a straight-through estimator: the indicator is a
         # constant mask, so the task loss sends no gradient to the scorer (the
         # encoder and reconstruction head), which learns from La and Lx alone
-        reads_a = model.backend.kind in ADJACENCY_KINDS  # mean, sum and feature-topk do not
-        x_in, a_in = apply_mask(x_std, adjacency if reads_a else None, indicator, layout)
+        # the backends that read A see A' = A m m^T through the indicator m
+        x_in = apply_mask(x_std, None, indicator, layout)[0]
+        a_in = adjacency if model.backend.kind in ADJACENCY_KINDS else None
     else:
         indicator = np.ones(len(x_std))
         x_in, a_in = x_std, adjacency

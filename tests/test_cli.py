@@ -66,6 +66,26 @@ def test_manifest_contents(run_dir, data_dir):
     assert "report.json" in manifest["artifacts"]
 
 
+def test_manifest_records_the_blas_thread_counts(tmp_path, data_dir, monkeypatch):
+    # products of large graphs round by thread count, so a replay matches only
+    # at equal counts; the counts stay out of the config and the outputs
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--dataset", data_dir, "--out", str(out)] + SMALL_FLAGS) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["environment"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                                       "MKL_NUM_THREADS": None}
+    assert not any("THREADS" in key for key in manifest["config"])
+    for name in ("report.json", "metrics.csv", "scores.csv"):
+        assert "THREADS" not in (out / name).read_text(), name
+    replay = tmp_path / "replay"
+    assert cli.main(["train", "--dataset", data_dir, "--out", str(replay),
+                     "--config", str(out / "manifest.json")]) == 0
+    assert (replay / "scores.csv").read_bytes() == (out / "scores.csv").read_bytes()
+
+
 def test_train_from_manifest_reproduces_metrics(tmp_path, run_dir, data_dir):
     out = tmp_path / "replay"
     rc = cli.main(["train", "--dataset", data_dir, "--out", str(out),
@@ -272,6 +292,15 @@ def test_export_scores(tmp_path, data_dir, run_dir):
         rows = list(csv.DictReader(fh))
     assert rows and set(rows[0]) == {"graph_id", "node_id", "degree", "score", "kept"}
     assert all(r["kept"] in ("0", "1") for r in rows)
+
+
+def test_export_scores_creates_the_directory_of_its_out(tmp_path, data_dir, run_dir, capsys):
+    # as analyze creates its --out directory
+    out = tmp_path / "missing" / "deeper" / "scores.csv"
+    assert cli.main(["export-scores", "--dataset", data_dir, "--run", run_dir,
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == (Path(run_dir) / "scores.csv").read_bytes()
+    assert capsys.readouterr().err == ""
 
 
 def test_export_scores_builds_no_tape(tmp_path, data_dir, run_dir, monkeypatch):

@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mvprune import multiview as mv, tensor as T
+from mvprune import multiview as mv, prune, tensor as T
 from mvprune.errors import ConfigError
 
 from oracles import finite_diff, normalize_adjacency_ref, random_graph, rel_err
@@ -117,6 +117,34 @@ def test_normalize_matches_explicit_self_loops_exactly(n, seed, density, keep):
     got = mv.normalize_adjacency(adj)
     assert np.array_equal(got, normalize_adjacency_ref(adj))
     assert np.array_equal(adj, before)  # the input is not written
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1), density=st.floats(0.0, 1.0),
+       keep=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+@example(sizes=[1], seed=0, density=0.0, keep=1.0)
+@example(sizes=[1, 1, 6, 6], seed=1, density=0.0, keep=0.7)
+@example(sizes=[9], seed=2, density=0.5, keep=1.0)
+@example(sizes=[2, 5, 5, 5], seed=3, density=0.6, keep=0.3)
+def test_masked_propagation_is_the_propagation_of_the_masked_adjacency(sizes, seed, density,
+                                                                        keep):
+    # lone graphs and batches with size groups, edgeless and 1-node graphs
+    # (density 0, size 1), and masks that drop all, some or none of the nodes
+    rng = np.random.default_rng(seed)
+    sizes = sorted(sizes)
+    layout = T.layout_of(tuple(sizes))
+    blocks = []
+    for n in sizes:
+        upper = np.triu((rng.random((n, n)) < density).astype(float), 1)
+        blocks.append(upper + upper.T)
+    adj = layout.join(blocks)
+    mask = (rng.random(layout.rows) < keep).astype(float)
+    before = adj.copy()
+    got = mv.propagation(adj, layout, mask)
+    a_prime = prune.apply_mask(np.zeros((layout.rows, 1)), adj, mask, layout)[1]
+    assert np.array_equal(got, mv.propagation(a_prime, layout))
+    assert got.shape == adj.shape and np.array_equal(adj, before)
 
 
 @pytest.mark.parametrize("n", [150, 620])

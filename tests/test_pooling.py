@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvprune import pooling, tensor as T
+from mvprune import pooling, prune, tensor as T
 from mvprune.errors import ConfigError, ContractError
 
 from oracles import finite_diff, mincut_losses_loop, random_graph, rel_err
@@ -181,6 +181,37 @@ def test_backend_forward_shapes(kind):
         assert sel.sum() == math.ceil(backend.keep_ratio * indicator.sum())
     else:
         assert np.array_equal(sel, indicator)
+
+
+@pytest.mark.parametrize("sizes", [(9,), (1, 4, 6, 6, 9)])
+@pytest.mark.parametrize("kind", pooling.ADJACENCY_KINDS)
+def test_adjacency_backends_give_the_same_bits_for_a_and_a_prime(kind, sizes):
+    # a backend sees A' = A m m^T through the indicator m, so the pruned A'
+    # itself gives the same values, MinCut loss and gradients as A
+    rng = np.random.default_rng(14)
+    layout = T.layout_of(sizes)
+    adj = layout.join([random_graph(rng, n, p=0.5)[0] for n in sizes])
+    indicator = (rng.random(layout.rows) < 0.7).astype(float)
+    xv = prune.apply_mask(rng.normal(size=(layout.rows, 6)), None, indicator)[0]
+    a_prime = prune.apply_mask(xv, adj, indicator, layout)[1]
+    backend = pooling.make_backend(kind, 6, rng, keep_ratio=0.5, clusters=3)
+
+    def run(adjacency):
+        for p in backend.params.values():
+            p.zero_grad()
+        h_g, pool_args, sel = backend.forward(T.Tensor(xv), adjacency, indicator, layout)
+        loss = T.tsum(T.mul_const(h_g, rng.normal(size=h_g.shape)) if pool_args is None else
+                      T.add(T.tsum(h_g, T.layout_of((1,) * len(sizes))),
+                            pooling.mincut_loss(*pool_args)))
+        T.backward(loss)
+        return [h_g.values, sel, loss.values] + [p.grad for p in backend.params.values()]
+
+    state = rng.bit_generator.state
+    got = run(adj)
+    rng.bit_generator.state = state  # the same loss weights
+    for g, w in zip(got, run(a_prime)):
+        assert np.array_equal(g, w)
+    assert 0 < indicator.sum() < layout.rows
 
 
 def test_make_backend_unknown_kind():

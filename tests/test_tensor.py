@@ -69,6 +69,45 @@ def test_gram_sigmoid_gradient():
     assert rel_err(p.grad, fd[0]) < 1e-6
 
 
+def _sign_branch_sigmoid(x):
+    """The sign-branching sigmoid that `gram_sigmoid` takes for a Z with a
+    negative entry, as the op computes it."""
+    e = np.negative(np.abs(x))
+    np.exp(e, out=e)
+    denom = e + 1.0
+    block = e / denom
+    np.divide(1.0, denom, out=denom)
+    np.copyto(block, denom, where=x >= 0)
+    return block
+
+
+@settings(max_examples=120, deadline=None)
+@given(sizes=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=5),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       scale=st.sampled_from([0.0, 0.3, 1.0, 8.0]), zeros=st.floats(0.0, 1.0))
+def test_gram_sigmoid_of_a_nonnegative_z_matches_the_sign_branch_bit_for_bit(sizes, seed, scale,
+                                                                               zeros):
+    # a ReLU output: nonnegative, with a share of exact zeros; scale 8 saturates
+    rng = np.random.default_rng(seed)
+    sizes = sorted(sizes)  # adjacent equal sizes form groups of several graphs
+    layout = T.layout_of(tuple(sizes))
+    zv = np.abs(rng.normal(scale=scale, size=(sum(sizes), 3)))
+    zv[rng.random(zv.shape) < zeros] = 0.0
+    got = T.gram_sigmoid(T.Tensor(zv), layout).values
+    want = [_sign_branch_sigmoid(zg @ zg.T).reshape(-1) for zg in layout.split(zv)]
+    assert np.array_equal(got.reshape(-1), np.concatenate(want))
+
+
+@pytest.mark.parametrize("case", ["one-negative", "negative-zero", "nan"])
+def test_gram_sigmoid_of_any_other_z_matches_the_tape_oracle(case):
+    rng = np.random.default_rng(4)
+    zv = np.abs(rng.normal(size=(9, 3)))
+    zv[4, 1] = {"one-negative": -1e-3, "negative-zero": -0.0, "nan": np.nan}[case]
+    got, want = T.gram_sigmoid(T.Tensor(zv)).values, gram_sigmoid_ref(T.Tensor(zv)).values
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got).any() == (case == "nan")
+
+
 def test_backward_sum_gives_ones():
     w = T.param(np.arange(6.0).reshape(2, 3))
     T.backward(T.tsum(w))

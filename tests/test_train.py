@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -535,7 +536,7 @@ def test_training_work_stays_within_its_budget(monkeypatch, backend):
 
     monkeypatch.setattr(T, "backward", counting_backward)
     monkeypatch.setattr(mv, "normalize_adjacency",
-                        lambda a: normalized.append(a.shape) or real_normalize(a))
+                        lambda a, *keep: normalized.append(a.shape) or real_normalize(a, *keep))
     tr.train_one(cfg, ds, split(ds, 0), seed=0)
     pretrain, joint, normalize_calls = WORK_BUDGETS[backend]
     steps = 3  # 17 training graphs in steps of 8
@@ -549,9 +550,9 @@ def test_one_forward_normalizes_each_adjacency_once(corpus, monkeypatch, backend
     # the encoder shares one matrix across its views; a GCN backend adds one for A'
     calls, real = [], mv.normalize_adjacency
 
-    def counting(adjacency):
+    def counting(adjacency, *keep):
         calls.append(adjacency.shape)
-        return real(adjacency)
+        return real(adjacency, *keep)
 
     monkeypatch.setattr(mv, "normalize_adjacency", counting)
     cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3))
@@ -559,6 +560,61 @@ def test_one_forward_normalizes_each_adjacency_once(corpus, monkeypatch, backend
     model = tr.build_model(cfg, corpus, split(corpus, 0), seed=0)
     tr.forward_graph(model, corpus.graphs[0])
     assert len(calls) == (2 if backend in ("gcn-sum", "attention-topk", "mincut") else 1)
+
+
+def test_every_latent_matrix_is_nonnegative(mixed_corpus, monkeypatch):
+    # Z is the encoder's ReLU output, so its Gram has no negative entry and
+    # gram_sigmoid takes its direct sigmoid; a negative Z entry would turn that
+    # path off without changing a value
+    seen, real = [], tr.encode_views_xa
+
+    def recording(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(tr, "encode_views_xa", recording)
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend="mincut", clusters=3))
+    graphs = mixed_corpus.graphs
+    tr.forward_batch(tr.build_model(cfg, mixed_corpus, split(mixed_corpus, 0), 0), graphs)
+    model, _ = tr.train_one(cfg, mixed_corpus, split(mixed_corpus, 0), seed=0)
+    tr.predict(model, graphs)
+    assert len(seen) >= 1 + cfg.epochs  # untrained, each joint epoch's steps, trained
+    assert all(z.values.min() >= 0.0 for z in seen)
+
+
+# Peak traced bytes of one lone mincut forward of a 200-node graph, in units of
+# one n x n float64 array. Building A' in the forward, and the sign-branching
+# sigmoid's passes, made it 5.7 with a tape and 4.3 without (4.4 and 2.6 today).
+FORWARD_MEMORY_BUDGETS = {"grad": 5.0, "no_grad": 3.5}
+
+
+@pytest.mark.parametrize("mode", sorted(FORWARD_MEMORY_BUDGETS))
+def test_lone_forward_memory_stays_within_its_budget(mode):
+    n = 200
+    ds, _ = synth_planted_anomalies(12, n, 0.1, seed=3)
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, latent_width=32, classifier_hidden=32,
+                                        backend="mincut", clusters=4))
+    model = tr.build_model(cfg, ds, split(ds, 0), seed=0)
+    g = ds.graphs[0]
+    tr.forward_graph(model, g)  # caches such as the graph's Layout
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        if mode == "grad":
+            res = tr.forward_graph(model, g)
+        else:
+            with T.no_grad():
+                res = tr.forward_graph(model, g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert g.n - res.indicator.sum() > 0  # the masked path
+    assert peak / (n * n * 8) <= FORWARD_MEMORY_BUDGETS[mode], f"{peak / (n * n * 8):.2f}"
 
 
 # -- degenerate graphs -----------------------------------------------------
