@@ -44,8 +44,15 @@ def _load_dataset(path: str, name: str | None):
     return load_tu(directory, name or os.path.basename(os.path.normpath(directory)))
 
 
-def _refuse_nonempty_out(out: str, force: bool):
-    if os.path.isdir(out) and os.listdir(out) and not force:
+def _refuse_unusable_out(out: str, force: bool = True):
+    """Refuse, before any work, an output directory that is a file or lies
+    under one, or, without `force`, one that is not empty."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):  # the nearest part of the path that exists
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise MvpruneError(f"cannot write to {out}: {path} is not a directory")
+    if path == os.path.abspath(out) and os.listdir(out) and not force:
         raise MvpruneError(f"output directory {out} is not empty; pass --force to overwrite")
 
 
@@ -141,8 +148,8 @@ def _load_run_model(run_dir: str, dataset, seed: int | None = None):
 
 def cmd_train(args) -> int:
     config = _resolve_config(args)
+    _refuse_unusable_out(args.out, args.force)
     dataset = _load_dataset(args.dataset, args.name)
-    _refuse_nonempty_out(args.out, args.force)
     report, models = run_trials(config, dataset, return_models=True, jobs=args.jobs)
     tmp = os.path.normpath(args.out) + ".tmp"  # replaces <out> once it holds the manifest
     shutil.rmtree(tmp, ignore_errors=True)
@@ -165,11 +172,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _refuse_unusable_out(args.out, args.force)
     dataset, truth = synth_planted_anomalies(
         args.graphs, args.nodes, args.anomaly, args.seed,
         n_classes=args.classes, n_features=args.features,
         name=os.path.basename(os.path.normpath(args.out)))
-    _refuse_nonempty_out(args.out, args.force)
     save_tu(dataset, args.out)
     save_anomaly_truth(truth, args.out, dataset.name)
     print(f"wrote {len(dataset)} graphs to {args.out}")
@@ -177,9 +184,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    out_dir = args.out or args.run
+    _refuse_unusable_out(out_dir)
     dataset = _load_dataset(args.dataset, args.name)
     model, config = _load_run_model(args.run, dataset, args.seed)
-    out_dir = args.out or args.run
     os.makedirs(out_dir, exist_ok=True)
     mvp_scores, keeps_mvp = zip(*_scores_and_keeps(model, dataset))
     if args.what == "centrality":
@@ -200,8 +208,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _resolve_config(args)
+    _refuse_unusable_out(args.out, args.force)
     dataset = _load_dataset(args.dataset, args.name)
-    _refuse_nonempty_out(args.out, args.force)
     points = analysis.threshold_sweep(dataset, config, args.multipliers, retrain=args.retrain)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
@@ -211,10 +219,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_scores(args) -> int:
+    out = args.out or os.path.join(args.run, "scores.csv")
+    out_dir = os.path.dirname(os.path.abspath(out))
+    _refuse_unusable_out(out_dir)
     dataset = _load_dataset(args.dataset, args.name)
     model, _ = _load_run_model(args.run, dataset, args.seed)
-    out = args.out or os.path.join(args.run, "scores.csv")
-    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     export_scores(_score_rows(model, dataset), out)
     print(f"wrote {out}")
     return EXIT_OK
@@ -323,7 +333,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MvpruneError as exc:
+    except (MvpruneError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

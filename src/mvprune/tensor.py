@@ -19,9 +19,10 @@ The fused ops `gcn_views` (the multi-view encoder), `gram_sigmoid`
 (sigmoid(Z Z^T)), `clipped_bce`, `mse` and `cross_entropy` are one tape node
 each. Their backward repeats the products and elementwise expressions of the
 primitive chain they replace, in its order, so values and gradients are
-bit-identical to that chain. Broadcasting is limited to
-row-vectors over rows (bias add) and one value per graph (`mul`, a 1x1 scalar
-for one graph); everything else must match exactly so shape bugs fail loudly.
+bit-identical to that chain on a Z >= 0 (the encoder's ReLU output) and a 0/1
+target (the adjacency `Graph` checks). Broadcasting is limited to row-vectors
+over rows (bias add) and one value per graph (`mul`, a 1x1 scalar for one
+graph); everything else must match exactly so shape bugs fail loudly.
 """
 
 from __future__ import annotations
@@ -415,29 +416,18 @@ def gram_sigmoid(z: Tensor, layout: Layout | None = None) -> Tensor:
     in one row (a lone graph's n x n). Backward: dG @ Z + (Z^T @ dG)^T with
     dG = g * s * (1 - s).
 
-    A Z with no negative entry (the encoder's ReLU output) has a Gram with
-    none either, whose sigmoid is 1 / (1 + exp(-x)) in place: the float
-    operations of the x >= 0 branch below, without the branch's passes."""
+    The sigmoid is 1 / (1 + exp(-x)) in place, exactly 0 below x = -709. On a
+    Z >= 0, such as the encoder's ReLU output, it gives the bits of the
+    sign-branching sigmoid; a negative Gram entry may round differently."""
     layout = as_layout(layout, len(z.values))
-    nonnegative = z.values.min() >= 0.0  # False for a Z holding NaN
 
     def sigmoid_gram(z3):
         x = z3 @ z3.swapaxes(-1, -2)
-        if nonnegative:
-            np.negative(x, out=x)
+        np.negative(x, out=x)
+        with np.errstate(over="ignore"):
             np.exp(x, out=x)
-            x += 1.0
-            return np.divide(1.0, x, out=x)
-        # branch on sign so exp never overflows: 1 / (1 + e) for x >= 0, else
-        # e / (1 + e), with e = exp(-|x|); computed in place
-        e = np.abs(x)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        denom = e + 1.0
-        block = e / denom
-        np.divide(1.0, denom, out=denom)
-        np.copyto(block, denom, where=x >= 0)
-        return block
+        x += 1.0
+        return np.divide(1.0, x, out=x)
 
     s = layout.map(sigmoid_gram, z.values, cols=layout.pairs)
 
@@ -451,53 +441,42 @@ def gram_sigmoid(z: Tensor, layout: Layout | None = None) -> Tensor:
 
 
 def clipped_bce(p: Tensor, target, eps: float, layout: Layout | None = None) -> Tensor:
-    """Mean binary cross-entropy of probabilities p against target T:
-    -sum(log(c) T + log(1 - c) (1 - T)) / size with c = clip(p, eps, 1 - eps),
-    one row per graph. p and T hold each graph's n x n block flat; without a
-    layout they are one graph's entries, in any shape. No gradient reaches p
-    where the clip is active.
+    """Mean binary cross-entropy of probabilities p against a 0/1 target T, as
+    `Graph` guarantees its adjacency: -sum(log(q)) / size, one row per graph,
+    with q = c where T is 1 and 1 - c where T is 0, c = clip(p, eps, 1 - eps);
+    the bits of -sum(log(c) T + log(1 - c) (1 - T)) / size. p and T hold each
+    graph's n x n block flat; without a layout they are one graph's entries,
+    in any shape. No gradient reaches p where the clip is active.
 
-    Only p and T are kept: the backward recomputes c, 1 - c, 1 - T and the
-    clip mask from them, one size group at a time and in place, so its
-    scratch memory is a few copies of the largest group's blocks."""
+    Only p and T are kept: the backward recomputes the signed q and the clip
+    mask from them, one size group at a time and in place, so its scratch
+    memory is a few copies of the largest group's blocks."""
     target = np.asarray(target, dtype=np.float64)
     if target.size != p.values.size:
         raise ShapeError(f"clipped_bce: target {target.shape} != probabilities {p.shape}")
     layout = layout or layout_of((len(p.values),))
 
     def groups(*arrays):
-        """Each group's -1 / (entries per graph), and each array's entries as
-        (graphs, entries per graph)."""
+        """Each group's -1 / (entries per graph), each array's entries as
+        (graphs, entries per graph), and c + (T - 1): for a 0/1 T, q where T
+        is 1 and -q where T is 0, rounded as 1 - c is."""
         for blocks in zip(*(layout.blocks(a, pairwise=True) for a in arrays)):
-            yield -1.0 / blocks[0].shape[1], blocks
+            signed_q = np.clip(blocks[0], eps, 1.0 - eps)
+            signed_q += blocks[1] - 1.0
+            yield -1.0 / blocks[0].shape[1], blocks, signed_q
 
     totals = []
-    for s, (pg, tg) in groups(p.values, target):
-        c = np.clip(pg, eps, 1.0 - eps)
-        terms = np.log(c)
-        terms *= tg
-        c *= -1.0
-        c += 1.0
-        np.log(c, out=c)
-        c *= 1.0 - tg
-        terms += c
-        totals.append(terms.sum(axis=1) * s)
+    for s, _, q in groups(p.values, target):
+        np.abs(q, out=q)
+        np.log(q, out=q)
+        totals.append(q.sum(axis=1) * s)
 
     def bw(g):
         grad, first = np.empty(p.shape), 0
-        for s, (pg, tg, out) in groups(p.values, target, grad):
+        for s, (pg, _, out), signed_q in groups(p.values, target, grad):
             full = g[first:first + len(pg)] * s  # each graph's g * s, broadcast
             first += len(pg)
-            c = np.clip(pg, eps, 1.0 - eps)
-            np.multiply(full, tg, out=out)
-            out /= c
-            c *= -1.0
-            c += 1.0  # 1 - c
-            other = 1.0 - tg
-            other *= full
-            other /= c
-            other *= -1.0
-            out += other
+            np.divide(full, signed_q, out=out)  # d log(q) / dp is 1 / q, negated where T is 0
             out *= (pg > eps) & (pg < 1.0 - eps)
         _accum(p, grad, fresh=True)
 

@@ -303,6 +303,40 @@ def test_export_scores_creates_the_directory_of_its_out(tmp_path, data_dir, run_
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("place", ["is-a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["train", "sweep", "synth", "analyze", "export-scores"])
+def test_an_out_that_is_or_lies_under_a_file_exits_1_before_any_work(
+        tmp_path, data_dir, run_dir, command, place, monkeypatch, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker if place == "is-a-file" else blocker / "out"
+    if command == "export-scores":  # its --out is the file it writes, in that directory
+        out = blocker / "scores.csv" if place == "is-a-file" else blocker / "out" / "scores.csv"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking --out")
+
+    for name in ("run_trials", "_load_dataset", "synth_planted_anomalies"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = {"train": ["train", "--dataset", data_dir] + SMALL_FLAGS,
+            "sweep": ["sweep", "--dataset", data_dir] + SMALL_FLAGS,
+            "synth": ["synth", "--graphs", "4", "--nodes", "6"],
+            "analyze": ["analyze", "centrality", "--dataset", data_dir, "--run", run_dir],
+            "export-scores": ["export-scores", "--dataset", data_dir, "--run", run_dir]}[command]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: cannot write to {out.parent if command == 'export-scores' else out}: " \
+                   f"{blocker} is not a directory"
+    assert blocker.read_text() == "not a directory"
+
+
+def test_an_export_out_that_is_a_directory_exits_1(tmp_path, data_dir, run_dir, capsys):
+    assert cli.main(["export-scores", "--dataset", data_dir, "--run", run_dir,
+                     "--out", str(tmp_path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(tmp_path) in line
+
+
 def test_export_scores_builds_no_tape(tmp_path, data_dir, run_dir, monkeypatch):
     results, real = [], tr.forward_batch
 

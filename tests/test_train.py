@@ -563,9 +563,9 @@ def test_one_forward_normalizes_each_adjacency_once(corpus, monkeypatch, backend
 
 
 def test_every_latent_matrix_is_nonnegative(mixed_corpus, monkeypatch):
-    # Z is the encoder's ReLU output, so its Gram has no negative entry and
-    # gram_sigmoid takes its direct sigmoid; a negative Z entry would turn that
-    # path off without changing a value
+    # Z is the encoder's ReLU output, so its Gram has no negative entry, on
+    # which gram_sigmoid's direct sigmoid gives the bits of its sign-branching
+    # oracle; a negative entry would round some A_hat entries apart from it
     seen, real = [], tr.encode_views_xa
 
     def recording(*args):
@@ -586,17 +586,26 @@ def test_every_latent_matrix_is_nonnegative(mixed_corpus, monkeypatch):
 # one n x n float64 array. Building A' in the forward, and the sign-branching
 # sigmoid's passes, made it 5.7 with a tape and 4.3 without (4.4 and 2.6 today).
 FORWARD_MEMORY_BUDGETS = {"grad": 5.0, "no_grad": 3.5}
+# The same for that forward's combined_loss and its backward: the two-log BCE
+# made them 3.02 and 3.60 (2.27 and 3.23 today).
+LOSS_MEMORY_BUDGETS = {"combined_loss": 2.5, "backward": 3.4}
 
 
-@pytest.mark.parametrize("mode", sorted(FORWARD_MEMORY_BUDGETS))
-def test_lone_forward_memory_stays_within_its_budget(mode):
-    n = 200
-    ds, _ = synth_planted_anomalies(12, n, 0.1, seed=3)
+def _lone_mincut_graph():
+    """(model, graph): an untrained mincut model and a 200-node graph whose
+    forward prunes nodes, after one forward for the caches (such as the
+    graph's Layout)."""
+    ds, _ = synth_planted_anomalies(12, 200, 0.1, seed=3)
     cfg = tr.TrainConfig.from_dict(dict(SMALL, latent_width=32, classifier_hidden=32,
                                         backend="mincut", clusters=4))
     model = tr.build_model(cfg, ds, split(ds, 0), seed=0)
     g = ds.graphs[0]
-    tr.forward_graph(model, g)  # caches such as the graph's Layout
+    assert g.n - tr.forward_graph(model, g).indicator.sum() > 0  # the masked path
+    return model, g
+
+
+def _traced_peak(fn, n):
+    """fn() and the peak traced bytes it allocated, in n x n float64 arrays."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -604,17 +613,37 @@ def test_lone_forward_memory_stays_within_its_budget(mode):
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        if mode == "grad":
-            res = tr.forward_graph(model, g)
-        else:
-            with T.no_grad():
-                res = tr.forward_graph(model, g)
+        out = fn()
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert g.n - res.indicator.sum() > 0  # the masked path
-    assert peak / (n * n * 8) <= FORWARD_MEMORY_BUDGETS[mode], f"{peak / (n * n * 8):.2f}"
+    return out, peak / (n * n * 8)
+
+
+@pytest.mark.parametrize("mode", sorted(FORWARD_MEMORY_BUDGETS))
+def test_lone_forward_memory_stays_within_its_budget(mode):
+    model, g = _lone_mincut_graph()
+
+    def forward():
+        if mode == "grad":
+            return tr.forward_graph(model, g)
+        with T.no_grad():
+            return tr.forward_graph(model, g)
+
+    _, peak = _traced_peak(forward, g.n)
+    assert peak <= FORWARD_MEMORY_BUDGETS[mode], f"{peak:.2f}"
+
+
+@pytest.mark.parametrize("stage", sorted(LOSS_MEMORY_BUDGETS))
+def test_lone_loss_and_backward_memory_stay_within_their_budgets(stage):
+    model, g = _lone_mincut_graph()
+    res = tr.forward_graph(model, g)
+    (loss, parts), peak = _traced_peak(lambda: tr.combined_loss(res, g.label), g.n)
+    assert parts["pool"][0] != 0.0 and parts["la"][0] != 0.0  # every term built
+    if stage == "backward":
+        _, peak = _traced_peak(lambda: T.backward(loss), g.n)
+    assert peak <= LOSS_MEMORY_BUDGETS[stage], f"{peak:.2f}"
 
 
 # -- degenerate graphs -----------------------------------------------------
