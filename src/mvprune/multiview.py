@@ -101,11 +101,14 @@ def gcn_layer(h: T.Tensor, weight: T.Tensor, propagation: np.ndarray,
 
 
 def encode_views_xa(x: np.ndarray, adjacency: np.ndarray, partition: ViewPartition,
-                    encoder: ViewEncoder, layout: T.Layout | None = None) -> T.Tensor:
+                    encoder: ViewEncoder, layout: T.Layout | None = None,
+                    prop: np.ndarray | None = None) -> T.Tensor:
     """Latent matrix Z: column-concatenation of the per-view GCN outputs, each
     a bias-free linear embedding of the view's columns followed by one graph
     convolution with ReLU. With a layout, `x` stacks a batch's nodes and
-    `adjacency` holds its blocks flat; without one they are one graph's."""
+    `adjacency` holds its blocks flat; without one they are one graph's.
+    All views share one propagation matrix: `prop`, if given, which the caller
+    computed once for many forwards, else `propagation(adjacency, layout)`."""
     if len(partition.columns_per_view) != len(encoder.embed_weights):
         raise ContractError("partition and encoder view counts differ")
     for cols, w_embed in zip(partition.columns_per_view, encoder.embed_weights):
@@ -113,6 +116,5 @@ def encode_views_xa(x: np.ndarray, adjacency: np.ndarray, partition: ViewPartiti
             raise ContractError(
                 f"view expects {w_embed.rows} columns, partition provides {len(cols)}")
     layout = T.as_layout(layout, len(x))
-    return T.gcn_views(x, partition.columns_per_view, encoder.embed_weights,
-                       encoder.gcn_weights, propagation(adjacency, layout),  # one for every view
-                       layout)
+    return T.gcn_views(x, partition.columns_per_view, encoder.embed_weights, encoder.gcn_weights,
+                       propagation(adjacency, layout) if prop is None else prop, layout)

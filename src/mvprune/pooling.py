@@ -4,8 +4,9 @@ Every backend maps (X', A, indicator) to a fixed-width graph vector, the
 inputs of its auxiliary loss (MinCut's `mincut_loss`, which only the training
 loss builds; None for the others, meaning exactly zero) and the keep-mask its
 readout used. The backends that read A see the pruned A' = A m m^T through the
-indicator m (the masked `multiview.normalize_adjacency`); only MinCut's
-training loss builds A' itself.
+indicator m (the masked `multiview.normalize_adjacency`), and so does MinCut's
+training loss (the masked `tensor.propagate`): no A' is ever built. Their
+products and per-graph sums loop over a batch's size groups.
 """
 
 from __future__ import annotations
@@ -68,13 +69,11 @@ def select_topk(scores: np.ndarray, keep_ratio: float, eligible: np.ndarray | No
     return sel
 
 
-def attention_score(x: T.Tensor, adjacency: np.ndarray, weight: T.Tensor,
-                    layout: T.Layout | None = None, keep: np.ndarray | None = None) -> T.Tensor:
-    """Self-attention node score (SAGPool): a 1-output GCN of x over A, or
-    over A' = A m m^T with a `keep` mask m; n x 1."""
-    layout = T.as_layout(layout, len(x.values))
-    return gcn_layer(x, weight, multiview.propagation(adjacency, layout, keep), activation=None,
-                     layout=layout)
+def attention_score(x: T.Tensor, propagation: np.ndarray, weight: T.Tensor,
+                    layout: T.Layout | None = None) -> T.Tensor:
+    """Self-attention node score (SAGPool): a 1-output GCN of x over the
+    propagation matrix of the graph (see `multiview.propagation`); n x 1."""
+    return gcn_layer(x, weight, propagation, activation=None, layout=layout)
 
 
 def feature_score(x: T.Tensor, projection: T.Tensor, layout: T.Layout | None = None) -> T.Tensor:
@@ -117,14 +116,14 @@ def mincut_loss(s: T.Tensor, adjacency: np.ndarray, layout: T.Layout | None = No
     """MinCut's auxiliary loss of the assignment S, one row per graph: the cut
     term -tr(S^T A S)/tr(S^T D S) (0 for edgeless graphs) plus the
     orthogonality term ||S^T S / ||S^T S||_F - I/sqrt(K)||_F. With a `keep`
-    mask m, A is the pruned A' = A m m^T, built here (A itself if m keeps all)."""
+    mask m, A is the pruned A' = A m m^T, never built: A'S is `T.propagate`'s
+    masked product, and A''s degrees are m * (A @ m), exact integers. Only
+    the products and the per-graph sums loop over size groups."""
     k = s.cols
     layout = T.as_layout(layout, len(s.values))
-    if keep is not None and not keep.all():
-        adjacency = layout.map(lambda a, m: a * m[..., :, None] * m[..., None, :],
-                               adjacency, keep, pairwise=1)
-    a_s = T.propagate(adjacency, s, layout)
-    deg = layout.map(lambda a: a.sum(axis=-1), adjacency, pairwise=1)
+    keep = np.ones(len(s.values)) if keep is None else keep
+    a_s = T.propagate(adjacency, s, layout, keep)
+    deg = keep * layout.map(lambda a, m: (a @ m[..., None])[..., 0], adjacency, keep, pairwise=1)
     edges = (layout.graph_sums(deg) > 0).astype(np.float64)[:, None]
     num = T.tsum(T.mul(s, a_s), layout)
     den = T.tsum(T.mul_const(T.mul(s, s), deg[:, None]), layout)
@@ -151,7 +150,7 @@ class PoolBackend:
     keep_ratio: float = 0.75
 
     def forward(self, x_prime: T.Tensor, adjacency: np.ndarray | None, indicator: np.ndarray,
-                layout: T.Layout | None = None):
+                layout: T.Layout | None = None, prop: np.ndarray | None = None):
         """Returns (h_G, pool_args, selection): one row of h_G per graph (see
         `tensor.Layout`; one graph without a layout). `pool_args` holds
         `mincut_loss`'s inputs (S, A, layout, indicator) for MinCut, else None.
@@ -161,27 +160,27 @@ class PoolBackend:
         MinCut's h_G does not depend on its assignment S (see `mincut_pool`).
         Only the `ADJACENCY_KINDS` read `adjacency`, as the pruned graph
         A' = A m m^T of the 0/1 `indicator` m, so A and A' give the same
-        bits; MVP passes the others None.
+        bits; MVP passes the others None. `prop`, if given, is the caller's
+        propagation matrix of that A' (of A, when `indicator` keeps all).
         """
         layout = T.as_layout(layout, len(x_prime.values))
+        if prop is None and self.kind in ADJACENCY_KINDS:
+            prop = multiview.propagation(adjacency, layout, indicator)
         if self.kind == "mean":
             return masked_mean_readout(x_prime, indicator, layout), None, indicator
         if self.kind == "sum":
             return masked_sum_readout(x_prime, indicator, layout), None, indicator
         if self.kind == "gcn-sum":
-            h = gcn_layer(x_prime, self.params["w"],
-                          multiview.propagation(adjacency, layout, indicator), layout=layout)
+            h = gcn_layer(x_prime, self.params["w"], prop, layout=layout)
             return masked_sum_readout(h, indicator, layout), None, indicator
         if self.kind in ("attention-topk", "feature-topk"):
-            score = (attention_score(x_prime, adjacency, self.params["score_w"], layout,
-                                     indicator)
+            score = (attention_score(x_prime, prop, self.params["score_w"], layout)
                      if self.kind == "attention-topk" else
                      feature_score(x_prime, self.params["proj"], layout))
             x_kept, sel = topk_pool(x_prime, score, self.keep_ratio, indicator, layout)
             return masked_mean_readout(x_kept, sel, layout), None, sel
         if self.kind == "mincut":
-            h = gcn_layer(x_prime, self.params["gcn_w"],
-                          multiview.propagation(adjacency, layout, indicator), layout=layout)
+            h = gcn_layer(x_prime, self.params["gcn_w"], prop, layout=layout)
             s, x_coarse = mincut_pool(h, self.params["assign_w"], self.params["assign_b"], layout)
             mean = T.Tensor(np.full((x_coarse.rows, 1), 1.0 / s.cols))
             h_g = T.transpose_matmul(mean, x_coarse, T.layout_of((s.cols,) * len(layout.sizes)))

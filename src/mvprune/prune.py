@@ -8,7 +8,9 @@ A_hat and X_hat; the indicator enters the training graph only as a constant
 mask, so gradients reach the encoder and decoders exclusively through the
 reconstruction losses. The forward masks only X (`apply_mask`): the backends
 that read the graph take A and the indicator, and see the pruned A' through
-the masked propagation of `multiview.normalize_adjacency`.
+the masked propagation of `multiview.normalize_adjacency`. A batch's
+residuals and their squares are one pass over all its blocks; only the row
+sums of the scores and the threshold's statistics loop over size groups.
 """
 
 from __future__ import annotations
@@ -65,13 +67,9 @@ def node_scores(adjacency: np.ndarray, features: np.ndarray, a_hat: np.ndarray,
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda must be in [0, 1], got {lam}")
     layout = T.as_layout(layout, len(features))
-
-    def squared_residuals(a, p):
-        d = a - p
-        d *= d  # (a - p) ** 2 in place: numpy squares by x * x
-        return d.sum(axis=-1)
-
-    adj_err = layout.map(squared_residuals, adjacency, a_hat, pairwise=2)
+    d = adjacency - a_hat  # a batch's one row of blocks
+    d *= d  # (a - p) ** 2 in place: numpy squares by x * x
+    adj_err = layout.map(lambda sq: sq.sum(axis=-1), d, pairwise=1)  # row sums per group
     feat_err = ((features - x_hat) ** 2).sum(axis=1)
     return lam * adj_err + (1.0 - lam) * feat_err
 

@@ -13,6 +13,10 @@ graphs' n x n blocks flat. The ops that take a layout (weight products,
 propagation, the Gram sigmoid, the losses, sums and per-graph products) work
 graph by graph inside one tape node, so a batch builds one tape, and cut it
 only through `Layout`'s methods, bar `gcn_views`' slice of all views' rows.
+Only the products, the per-graph sums and the per-graph scales loop over the
+size groups; an elementwise pass over pairwise data (the Gram's sigmoid, the
+BCE's clip, log and gradient, the masked propagation's mask) runs once over
+the whole batch, since no entry's value depends on the graph it belongs to.
 A lone graph is a batch of one, which these ops assume when given no layout.
 
 The fused ops `gcn_views` (the multi-view encoder), `gram_sigmoid`
@@ -38,13 +42,12 @@ from .errors import ContractError, ShapeError
 
 
 class Group(NamedTuple):
-    """`b` adjacent graphs of `n` nodes: the first is graph `graph`, its rows
-    start at `row` and its pairwise entries at `pair`."""
+    """`b` adjacent graphs of `n` nodes: the first is graph `graph`, and its
+    rows start at `row`."""
     n: int
     b: int
     graph: int
     row: int
-    pair: int
 
 
 class Layout:
@@ -56,24 +59,31 @@ class Layout:
     it is in, and nothing is padded. Pairwise data is stored flat, block after
     block, and a group's blocks reshape to (b, n, n). Only these methods know
     how a batch is cut into graphs; a lone graph's arrays are not cut at all:
-    they keep their shapes, its pairwise arrays n x n.
+    they keep their shapes, its pairwise arrays n x n. Each group's cuts and
+    stack shapes are worked out once, here, and `layout_of` keeps one Layout
+    per size tuple, so a training step reuses them in every op.
     """
 
-    __slots__ = ("sizes", "groups", "rows", "pairs", "_lone")
+    __slots__ = ("sizes", "groups", "rows", "pairs", "_lone", "_row_cuts", "_pair_cuts", "_offsets")
 
     def __init__(self, sizes):
         sizes = [int(n) for n in sizes]
         if min(sizes, default=1) < 1:
             raise ContractError("every graph of a batch needs at least one node")
         self.sizes = np.array(sizes, dtype=np.int64)
+        # each group, and its (first, end, stack shape) of rows and of pairwise entries
         self.groups: list[Group] = []
+        self._row_cuts, self._pair_cuts = [], []
         graph = row = pair = 0
         for n, run in itertools.groupby(sizes):
             b = len(list(run))
-            self.groups.append(Group(n, b, graph, row, pair))
+            self.groups.append(Group(n, b, graph, row))
+            self._row_cuts.append((row, row + b * n, (b, n)))
+            self._pair_cuts.append((pair, pair + b * n * n, (b, n, n)))
             graph, row, pair = graph + b, row + b * n, pair + b * n * n
         self.rows, self.pairs = row, pair
         self._lone = row if len(sizes) == 1 else 0  # a lone graph's node count
+        self._offsets = np.cumsum(sizes)[:-1].tolist()  # where `split` cuts
 
     def stacks(self, a: np.ndarray, pairwise: bool = False,
                rows: int | None = None) -> list[np.ndarray]:
@@ -85,20 +95,19 @@ class Layout:
             return [a]
         if pairwise:
             flat = a.reshape(-1)
-            return [flat[grp.pair:grp.pair + grp.b * grp.n * grp.n].reshape(grp.b, grp.n, grp.n)
-                    for grp in self.groups]
-        out = []
-        for grp in self.groups:
-            m, first = (grp.n, grp.row) if rows is None else (rows, grp.graph * rows)
-            out.append(a[first:first + grp.b * m].reshape((grp.b, m) + a.shape[1:]))
-        return out
+            return [flat[first:end].reshape(shape) for first, end, shape in self._pair_cuts]
+        tail = a.shape[1:]
+        if rows is None:
+            return [a[first:end].reshape(shape + tail) for first, end, shape in self._row_cuts]
+        return [a[grp.graph * rows:(grp.graph + grp.b) * rows].reshape((grp.b, rows) + tail)
+                for grp in self.groups]
 
     def join(self, parts: list[np.ndarray], cols: int | None = None) -> np.ndarray:
         """Per-group (or per-graph) arrays back in one array, flat or in rows
         of `cols` columns; a lone graph's part as it is."""
         if self._lone:
             return parts[0]
-        flat = np.concatenate([p.reshape(-1) for p in parts]) if len(parts) > 1 else parts[0]
+        flat = np.concatenate(parts, axis=None) if len(parts) > 1 else parts[0]
         return flat.reshape(-1) if cols is None else flat.reshape(-1, cols)
 
     def map(self, fn, *arrays: np.ndarray, args: tuple = (), cols: int | None = None,
@@ -112,7 +121,7 @@ class Layout:
 
     def split(self, a: np.ndarray) -> list[np.ndarray]:
         """A per-node array cut into one array per graph."""
-        return np.split(a, np.cumsum(self.sizes)[:-1])
+        return np.split(a, self._offsets)
 
     def blocks(self, a: np.ndarray, pairwise: bool = False) -> list[np.ndarray]:
         """Each group's entries of a per-node (or pairwise) array as (graphs,
@@ -250,18 +259,28 @@ def matmul(a: Tensor, b: Tensor, layout: Layout | None = None) -> Tensor:
     return _op(values, (a, b), bw)
 
 
-def propagate(pairs: np.ndarray, h: Tensor, layout: Layout | None = None) -> Tensor:
-    """Each graph's block of the constant pairwise array times its rows of h."""
+def propagate(pairs: np.ndarray, h: Tensor, layout: Layout | None = None,
+              keep: np.ndarray | None = None) -> Tensor:
+    """Each graph's block of the constant pairwise array A times its rows of h.
+
+    With a 0/1 `keep` mask m, the product with A' = A m m^T without building
+    A': m * (A @ (m * h)), and the backward m * (A^T @ (m * g)). Each product
+    term is A''s term but for the sign of a zero, which no nonzero sum
+    keeps; a dropped row is +0, as A''s zero row gives."""
     layout = as_layout(layout, len(h.values))
     if pairs.size != layout.pairs:
         raise ShapeError(f"propagate: {pairs.size} pairwise entries for {layout.pairs}")
-    values = layout.map(np.matmul, pairs, h.values, cols=h.cols, pairwise=1)
+    kept = None if keep is None else keep[:, None]
+
+    def product(fn, x):
+        if kept is None:
+            return layout.map(fn, pairs, x, cols=h.cols, pairwise=1)
+        return np.where(kept > 0.0, layout.map(fn, pairs, x * kept, cols=h.cols, pairwise=1), 0.0)
 
     def bw(g):
-        _accum(h, layout.map(lambda p, x: p.swapaxes(-1, -2) @ x, pairs, g, cols=h.cols,
-                             pairwise=1))
+        _accum(h, product(lambda p, x: p.swapaxes(-1, -2) @ x, g))
 
-    return _op(values, (h,), bw)
+    return _op(product(np.matmul, h.values), (h,), bw)
 
 
 def gcn_views(x: np.ndarray, columns: list[list[int]], embeds: list[Tensor],
@@ -420,22 +439,23 @@ def gram_sigmoid(z: Tensor, layout: Layout | None = None) -> Tensor:
     Z >= 0, such as the encoder's ReLU output, it gives the bits of the
     sign-branching sigmoid; a negative Gram entry may round differently."""
     layout = as_layout(layout, len(z.values))
-
-    def sigmoid_gram(z3):
-        x = z3 @ z3.swapaxes(-1, -2)
-        np.negative(x, out=x)
-        with np.errstate(over="ignore"):
-            np.exp(x, out=x)
-        x += 1.0
-        return np.divide(1.0, x, out=x)
-
-    s = layout.map(sigmoid_gram, z.values, cols=layout.pairs)
+    if layout._lone:
+        s = z.values @ z.values.T
+    else:  # each group's Grams written into one batch row
+        s = np.empty((1, layout.pairs))
+        for z3, out in zip(layout.stacks(z.values), layout.stacks(s, pairwise=True)):
+            np.matmul(z3, z3.swapaxes(-1, -2), out=out)  # one buffer twice: a symmetric product
+    np.negative(s, out=s)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
 
     def bw(g):
-        def grad(s3, g3, z3):
-            dg = g3 * s3 * (1.0 - s3)
-            return dg @ z3 + (z3.swapaxes(-1, -2) @ dg).swapaxes(-1, -2)
-        _accum(z, layout.map(grad, s, g, z.values, cols=z.cols, pairwise=2))
+        dg = g * s
+        dg *= 1.0 - s
+        _accum(z, layout.map(lambda d3, z3: d3 @ z3 + (z3.swapaxes(-1, -2) @ d3).swapaxes(-1, -2),
+                             dg, z.values, cols=z.cols, pairwise=1))
 
     return _op(s, (z,), bw)
 
@@ -449,35 +469,30 @@ def clipped_bce(p: Tensor, target, eps: float, layout: Layout | None = None) -> 
     in any shape. No gradient reaches p where the clip is active.
 
     Only p and T are kept: the backward recomputes the signed q and the clip
-    mask from them, one size group at a time and in place, so its scratch
-    memory is a few copies of the largest group's blocks."""
+    mask from them in place. The elementwise passes run over the whole batch;
+    only each graph's sum and its scale -1 / (entries per graph) run per size
+    group, over the group's (graphs, entries per graph) rows."""
     target = np.asarray(target, dtype=np.float64)
     if target.size != p.values.size:
         raise ShapeError(f"clipped_bce: target {target.shape} != probabilities {p.shape}")
     layout = layout or layout_of((len(p.values),))
 
-    def groups(*arrays):
-        """Each group's -1 / (entries per graph), each array's entries as
-        (graphs, entries per graph), and c + (T - 1): for a 0/1 T, q where T
-        is 1 and -q where T is 0, rounded as 1 - c is."""
-        for blocks in zip(*(layout.blocks(a, pairwise=True) for a in arrays)):
-            signed_q = np.clip(blocks[0], eps, 1.0 - eps)
-            signed_q += blocks[1] - 1.0
-            yield -1.0 / blocks[0].shape[1], blocks, signed_q
+    def signed_q():  # c + (T - 1): q where T is 1 and -q where T is 0, rounded as 1 - c is
+        q = np.clip(p.values, eps, 1.0 - eps)
+        q += target.reshape(q.shape) - 1.0
+        return q
 
-    totals = []
-    for s, _, q in groups(p.values, target):
-        np.abs(q, out=q)
-        np.log(q, out=q)
-        totals.append(q.sum(axis=1) * s)
+    log_q = signed_q()
+    np.abs(log_q, out=log_q)
+    np.log(log_q, out=log_q)
+    totals = [q.sum(axis=1) * (-1.0 / q.shape[1]) for q in layout.blocks(log_q, pairwise=True)]
 
     def bw(g):
-        grad, first = np.empty(p.shape), 0
-        for s, (pg, _, out), signed_q in groups(p.values, target, grad):
-            full = g[first:first + len(pg)] * s  # each graph's g * s, broadcast
-            first += len(pg)
-            np.divide(full, signed_q, out=out)  # d log(q) / dp is 1 / q, negated where T is 0
-            out *= (pg > eps) & (pg < 1.0 - eps)
+        grad = np.empty(p.shape)
+        for grp, out in zip(layout.groups, layout.blocks(grad, pairwise=True)):
+            np.multiply(g[grp.graph:grp.graph + grp.b], -1.0 / out.shape[1], out=out)  # g * s
+        np.divide(grad, signed_q(), out=grad)  # d log(q) / dp is 1 / q, negated where T is 0
+        grad *= (p.values > eps) & (p.values < 1.0 - eps)
         _accum(p, grad, fresh=True)
 
     return _op(layout.join(totals)[:, None], (p,), bw)

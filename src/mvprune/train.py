@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
+from . import multiview, tensor as T
 from .errors import ConfigError, ContractError, MvpruneError, TrainingDiverged
 from .graphio import Dataset, FeatureScaler, Graph, SplitSpec, split
 from .multiview import (ViewEncoder, ViewPartition, default_overlap_ratio,
@@ -233,10 +233,14 @@ class ForwardResult:
 
 
 def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = None,
-                  threshold_c: float | None = None) -> ForwardResult:
+                  threshold_c: float | None = None,
+                  props: list[np.ndarray] | None = None) -> ForwardResult:
     """One forward over `graphs`, stacked in the order given (see `tensor.Layout`:
     adjacent graphs of one size share their products, so pass them sorted by
-    size). Each graph gets the values its own forward would give, bit for bit."""
+    size). Each graph gets the values its own forward would give, bit for bit.
+    `props`, if given, holds each graph's `normalize_adjacency` of its A,
+    computed once for many forwards; the encoder uses them, and so does a
+    backend when every node is kept (A' = A)."""
     cfg = model.config
     if use_mvp is None:
         use_mvp = cfg.use_mvp
@@ -245,9 +249,10 @@ def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = N
     adjacency = layout.join([g.adjacency for g in graphs])
     x = layout.join([g.features for g in graphs], graphs[0].features.shape[1])
     x_std = model.scaler.transform(x)
+    prop = None if props is None else layout.join(props)
     scores = recon_args = None
     if use_mvp:
-        z = encode_views_xa(x_std, adjacency, model.partition, model.encoder, layout)
+        z = encode_views_xa(x_std, adjacency, model.partition, model.encoder, layout, prop)
         a_hat, x_hat = reconstruct(z, model.recon, layout)
         recon_args = (adjacency, x_std, a_hat, x_hat, layout)
         scores = node_scores(adjacency, x_std, a_hat.values, x_hat.values, cfg.lam, layout)
@@ -261,7 +266,8 @@ def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = N
     else:
         indicator = np.ones(len(x_std))
         x_in, a_in = x_std, adjacency
-    h_g, pool_args, selection = model.backend.forward(T.Tensor(x_in), a_in, indicator, layout)
+    h_g, pool_args, selection = model.backend.forward(T.Tensor(x_in), a_in, indicator, layout,
+                                                      None if use_mvp else prop)
     logits = classify(h_g, model.classifier)
     return ForwardResult(logits, pool_args, scores, indicator, recon_args, selection, layout)
 
@@ -344,11 +350,12 @@ def pruning_stats(dataset: Dataset, indices, indicators, selections) -> dict:
 
 
 def _run_phase(model: MvpModel, dataset: Dataset, sp: SplitSpec, seed: int,
-               trace: dict, joint: bool):
+               trace: dict, props: dict[int, np.ndarray] | None, joint: bool):
     """Pretraining (`joint` False) trains the backend and classifier on the
     unpruned graphs. The joint phase trains every parameter, through the
     pruning layer when the config uses it, and restores the weights of the
-    best validation epoch. Each step is one size-sorted batch of `batch_size`."""
+    best validation epoch. Each step is one size-sorted batch of `batch_size`,
+    with its graphs' propagation matrices from `props`, if given."""
     cfg = model.config
     use_mvp = joint and cfg.use_mvp
     epochs = cfg.epochs if joint else cfg.pretrain_epochs
@@ -364,7 +371,8 @@ def _run_phase(model: MvpModel, dataset: Dataset, sp: SplitSpec, seed: int,
             step = order[start:start + cfg.batch_size]  # sorted stably, so ties keep their order
             ids = sorted(step, key=lambda gi: dataset.graphs[gi].n)
             batch = [dataset.graphs[gi] for gi in ids]
-            res = forward_batch(model, batch, use_mvp=use_mvp)
+            res = forward_batch(model, batch, use_mvp=use_mvp,
+                                props=None if props is None else [props[gi] for gi in ids])
             loss, parts = combined_loss(res, [g.label for g in batch], cfg.use_recon_loss)
             bad = {ids[r] for r in np.flatnonzero(~np.isfinite(loss.values[:, 0]))}
             if bad:  # name the step's first graph whose loss is not finite
@@ -401,9 +409,12 @@ def train_one(config: TrainConfig, dataset: Dataset, sp: SplitSpec, seed: int):
                    ("pretrain_ce", "pretrain_la", "pretrain_lx", "pretrain_pool",
                     "joint_ce", "joint_la", "joint_lx", "joint_pool",
                     "total_loss", "val_accuracy")}
+    # each training graph's propagation matrix for every step of both phases, if one reads A
+    props = ({gi: multiview.normalize_adjacency(dataset.graphs[gi].adjacency) for gi in sp.train}
+             if config.use_mvp or config.backend in ADJACENCY_KINDS else None)
     if config.use_mvp and config.pretrain_epochs > 0:
-        _run_phase(model, dataset, sp, seed, trace, joint=False)
-    _run_phase(model, dataset, sp, seed, trace, joint=True)
+        _run_phase(model, dataset, sp, seed, trace, props, joint=False)
+    _run_phase(model, dataset, sp, seed, trace, props, joint=True)
     return model, trace
 
 

@@ -1,13 +1,16 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here is deliberately naive (loops, enumeration, finite
-differences) and shares no code with the library paths it checks. The one
-exception is `forward_ref`, the slower forward that the fast one replaced,
+differences) and shares no code with the library paths it checks, with
+three exceptions. `mincut_loss_ref` is MinCut's loss through an explicit
+A' = A m m^T, as it was before `T.propagate` took the keep mask m; the
+library's loss must match its values and gradients byte for byte.
+`forward_ref` is the slower forward that the fast one replaced,
 kept as the reference the fast path must match bit for bit (MinCut's loss and
 gradients to 1e-10), together with the unfused tape forms of the fused ops
 (`gram_sigmoid_ref`, `recon_losses_ref`, `cross_entropy_ref`). Its products
 are plain 2-D ones (`matmul_ref`), not the library's per-graph stacks. The
-other is `load_tu_ref`, the line-by-line TU loader that the one-parse-per-file
+third is `load_tu_ref`, the line-by-line TU loader that the one-parse-per-file
 `graphio.load_tu` replaced: it must give the same Dataset, and the same
 exception and message for every malformed corpus, except that a non-integer
 id or label raises a bare ValueError here and a FormatError there.
@@ -172,6 +175,31 @@ def mincut_losses_loop(adjacency, s):
     resid = ss / fro - np.eye(k) / np.sqrt(k)
     ortho = np.sqrt((resid ** 2).sum())
     return cut + ortho
+
+
+def mincut_loss_ref(s, adjacency, layout=None, keep=None):
+    """`pooling.mincut_loss` as it was before its masked propagation: with a
+    `keep` mask m that drops a node it builds A' = A m m^T per size group, and
+    takes A' S with `T.propagate` and the degrees as A''s row sums."""
+    k = s.cols
+    layout = T.as_layout(layout, len(s.values))
+    if keep is not None and not keep.all():
+        adjacency = layout.map(lambda a, m: a * m[..., :, None] * m[..., None, :],
+                               adjacency, keep, pairwise=1)
+    a_s = T.propagate(adjacency, s, layout)
+    deg = layout.map(lambda a: a.sum(axis=-1), adjacency, pairwise=1)
+    edges = (layout.graph_sums(deg) > 0).astype(np.float64)[:, None]
+    num = T.tsum(T.mul(s, a_s), layout)
+    den = T.tsum(T.mul_const(T.mul(s, s), deg[:, None]), layout)
+    ratio = T.mul(num, T.reciprocal(T.add(den, T.Tensor(1.0 - edges))))
+    cut = T.mul_const(ratio, -1.0)
+    clusters = T.layout_of((k,) * len(layout.sizes))
+    ss = T.transpose_matmul(s, s, layout)
+    fro = T.sqrt(T.tsum(T.mul(ss, ss), clusters))
+    normed = T.mul(ss, T.reciprocal(fro), clusters)
+    resid = T.add(normed, T.Tensor(np.tile(-np.eye(k) / np.sqrt(k), (ss.rows // k, 1))))
+    ortho = T.sqrt(T.tsum(T.mul(resid, resid), clusters))
+    return T.add(cut, ortho)
 
 
 def random_graph(rng, n, p=0.4, d=4):

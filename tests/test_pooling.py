@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mvprune import pooling, prune, tensor as T
+from mvprune import multiview as mv, pooling, prune, tensor as T
 from mvprune.errors import ConfigError, ContractError
 
-from oracles import finite_diff, mincut_losses_loop, random_graph, rel_err
+from oracles import finite_diff, mincut_loss_ref, mincut_losses_loop, random_graph, rel_err
 
 
 def test_masked_mean_matches_manual():
@@ -57,7 +57,8 @@ def test_attention_topk_keeps_high_scores():
     adj, _ = random_graph(rng, 8)
     x = T.Tensor(rng.normal(size=(8, 4)))
     w = T.param(rng.normal(size=(4, 1)))
-    x_kept, sel = pooling.topk_pool(x, pooling.attention_score(x, adj, w), 0.5)
+    score = pooling.attention_score(x, mv.normalize_adjacency(adj), w)
+    x_kept, sel = pooling.topk_pool(x, score, 0.5)
     a_hat = adj + np.eye(8)
     d = 1.0 / np.sqrt(a_hat.sum(axis=1))
     scores = (d[:, None] * a_hat * d[None, :] @ (x.values @ w.values))[:, 0]
@@ -76,7 +77,8 @@ def test_attention_topk_gradient_reaches_score_weight():
     adj, _ = random_graph(rng, 6)
     x = T.Tensor(rng.normal(size=(6, 3)))
     w = T.param(rng.normal(size=(3, 1)))
-    x_kept, sel = pooling.topk_pool(x, pooling.attention_score(x, adj, w), 0.75)
+    score = pooling.attention_score(x, mv.normalize_adjacency(adj), w)
+    x_kept, sel = pooling.topk_pool(x, score, 0.75)
     out = pooling.masked_mean_readout(x_kept, sel)
     T.backward(T.tsum(T.mul(out, out)))
     assert w.grad is not None and np.abs(w.grad).sum() > 0
@@ -109,6 +111,32 @@ def test_mincut_matches_loop_oracle():
         s = e / e.sum(axis=1, keepdims=True)
         assert abs(l_pool.item() - mincut_losses_loop(adj, s)) < 1e-10
         assert np.allclose(x_coarse.values, s.T @ h.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("masked", [True, False])
+def test_mincut_loss_matches_the_a_prime_chain_byte_for_byte(masked):
+    # a batch with groups of one graph and of several: graphs that drop nodes,
+    # one that keeps all and an edgeless one; bytes, so that signed zeros count
+    rng = np.random.default_rng(22)
+    sizes = (1, 3, 5, 5, 5, 7, 9, 9, 12)
+    layout = T.layout_of(sizes)
+    blocks = [random_graph(rng, n, p=0.5)[0] for n in sizes]
+    blocks[5] = np.zeros((7, 7))
+    keep = (rng.random(layout.rows) < 0.6).astype(float)
+    first = layout.groups[2].row + 5  # the second 5-node graph keeps every node
+    keep[first:first + 5] = 1.0
+    logits, weights = rng.normal(scale=2.0, size=(layout.rows, 3)), rng.normal(size=(len(sizes), 1))
+
+    def run(loss_fn):
+        h = T.param(logits.copy())
+        loss = loss_fn(T.softmax_rows(h), layout.join(blocks), layout, keep if masked else None)
+        T.backward(T.tsum(T.mul_const(loss, weights)))
+        return loss.values, h.grad
+
+    for got, want in zip(run(pooling.mincut_loss), run(mincut_loss_ref)):
+        assert got.tobytes() == want.tobytes()
+    dropped = [n - k for n, k in zip(sizes, layout.graph_sums(keep))]
+    assert 0 in dropped and sum(d > 0 for d in dropped) > 3
 
 
 def test_mincut_two_cliques_perfect_assignment():

@@ -430,3 +430,58 @@ def test_a_mis_sized_array_on_a_multi_graph_layout_is_a_shape_error(op, extra):
             T.mul(T.param(np.ones((8, 2))), T.param(np.ones((3 + extra, 1))), layout)
         else:
             T.clipped_bce(T.param(pairs), np.ones(pairs.size), prune.LOG_EPS, layout)
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(min_value=1, max_value=40),
+                               st.integers(min_value=1, max_value=3)), min_size=1, max_size=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1), kept=st.floats(0.0, 1.0))
+def test_batched_pairwise_ops_match_lone_calls_bit_for_bit(runs, seed, kept):
+    # runs of equal sizes form groups of several graphs; each graph of the
+    # batch gets its lone call's bits, values and gradients under an upstream
+    # gradient other than 1; the masked propagation gets the bits of A' = A m m^T
+    rng = np.random.default_rng(seed)
+    eps = prune.LOG_EPS
+    graphs = []
+    for n in [n for n, repeat in runs for _ in range(repeat)]:
+        adj = np.triu(rng.random((n, n)) < 0.3, 1).astype(float)
+        graphs.append(dict(
+            adj=adj + adj.T, z=np.maximum(rng.normal(size=(n, 3)), 0.0),
+            p=np.where(rng.random((n, n)) < 0.2, 1.0 - eps / 2, rng.uniform(size=(n, n))),
+            x=rng.normal(size=(n, 2)), x_hat=rng.normal(size=(n, 2)), h=rng.normal(size=(n, 3)),
+            keep=(rng.random(n) < kept).astype(float), w_s=rng.normal(size=(n, n)),
+            w_la=rng.normal(size=(1, 1)), w_h=rng.normal(size=(n, 3))))
+
+    def run(gs, a_prime=False):
+        """The ops on graphs `gs` as one call, each graph's arrays joined as a
+        batch holds them: each output and gradient, one list per graph."""
+        layout = T.layout_of(tuple(len(g["z"]) for g in gs))
+
+        def pairs(key, cols=None):
+            return layout.join([g[key] for g in gs], cols)
+
+        def rows(key):
+            return np.concatenate([g[key] for g in gs])
+
+        z, p, h = T.param(rows("z")), T.param(pairs("p", layout.pairs)), T.param(rows("h"))
+        s = T.gram_sigmoid(z, layout)
+        la = T.clipped_bce(p, pairs("adj"), eps, layout)
+        adj, keep = pairs("adj"), rows("keep")
+        if a_prime:  # a lone graph's A' = A m m^T, as the propagation's pairwise input
+            adj, keep = adj * keep[:, None] * keep[None, :], None
+        out = T.propagate(adj, h, layout, keep)
+        T.backward(T.add(T.add(T.tsum(T.mul_const(s, pairs("w_s").reshape(s.shape))),
+                               T.tsum(T.mul_const(la, rows("w_la")))),
+                         T.tsum(T.mul_const(out, rows("w_h")))))
+        scores = prune.node_scores(pairs("adj"), rows("x"), s.values, rows("x_hat"), 0.3, layout)
+        ends = np.cumsum([n * n for n in layout.sizes])[:-1]
+        blocks = [np.split(a.ravel(), ends) for a in (s.values, p.grad)]
+        return list(zip(*blocks[:1], layout.split(z.grad), la.values, *blocks[1:],
+                        *(layout.split(a) for a in (scores, out.values, h.grad))))
+
+    for g, got in zip(graphs, run(graphs)):
+        lone = run([g])[0]
+        for name, a, b in zip(("A_hat", "dZ", "La", "dp", "scores", "propagate", "dh"), got, lone):
+            assert a.tobytes() == b.tobytes(), name
+        for name, a, b in zip(("propagate", "dh"), lone[5:], run([g], a_prime=True)[0][5:]):
+            assert a.tobytes() == b.tobytes(), f"{name} against A'"

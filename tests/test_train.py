@@ -517,15 +517,20 @@ BUDGET_SIZES = (4, 6, 9, 9, 12, 12, 12, 15, 18, 18, 22, 25, 25, 25, 30, 38, 45, 
                 210)
 # per backend: tape nodes of a pretraining step and of a joint step, and
 # normalize_adjacency calls per train_one. Each is an upper bound at today's
-# count; a change that does less work lowers it.
-WORK_BUDGETS = {"mean": (11, 30, 34), "mincut": (44, 63, 85)}
+# count; a change that does less work lowers it. Normalizing A in every step,
+# not once per train_one, made the counts 34 and 85.
+WORK_BUDGETS = {"mean": (11, 30, 19), "mincut": (44, 63, 53)}
+
+
+def _budget_corpus():
+    graphs = [synth_planted_anomalies(2, n, 0.1, seed=i)[0].graphs[i % 2]
+              for i, n in enumerate(BUDGET_SIZES)]
+    return Dataset(graphs, 8, 2, "mixed")
 
 
 @pytest.mark.parametrize("backend", sorted(WORK_BUDGETS))
 def test_training_work_stays_within_its_budget(monkeypatch, backend):
-    graphs = [synth_planted_anomalies(2, n, 0.1, seed=i)[0].graphs[i % 2]
-              for i, n in enumerate(BUDGET_SIZES)]
-    ds = Dataset(graphs, 8, 2, "mixed")
+    ds = _budget_corpus()
     cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend))
     nodes, normalized = [], []
     real_backward, real_normalize = T.backward, mv.normalize_adjacency
@@ -543,6 +548,28 @@ def test_training_work_stays_within_its_budget(monkeypatch, backend):
     assert len(nodes) == steps * (cfg.pretrain_epochs + cfg.epochs)
     assert max(nodes[:steps]) <= pretrain and max(nodes[steps:]) <= joint
     assert len(normalized) <= normalize_calls
+
+
+@pytest.mark.parametrize("use_mvp", [True, False])
+@pytest.mark.parametrize("backend", ["mean", "mincut"])
+def test_predict_normalizes_each_adjacency_at_most_once_per_call(monkeypatch, backend, use_mvp):
+    # per graph and call: A's matrix for the encoder, and A''s for a backend
+    # that reads the graph (A' = A, through an all-ones mask, without MVP)
+    ds = _budget_corpus()
+    model = tr.build_model(tr.TrainConfig.from_dict(dict(SMALL, backend=backend, use_mvp=use_mvp)),
+                           ds, split(ds, 0), seed=0)
+    matrices, real = {"A": 0, "masked": 0}, mv.normalize_adjacency
+
+    def counting(adjacency, *keep):
+        matrices["masked" if keep else "A"] += adjacency.size // adjacency.shape[-1] ** 2
+        return real(adjacency, *keep)
+
+    monkeypatch.setattr(mv, "normalize_adjacency", counting)
+    for _ in range(2):  # nothing is kept from one call for the next
+        tr.predict(model, ds.graphs)
+    graphs = 2 * len(ds.graphs)
+    assert matrices == {"A": graphs if use_mvp else 0,
+                        "masked": graphs if backend in ADJACENCY_KINDS else 0}
 
 
 @pytest.mark.parametrize("backend", BACKEND_KINDS)
@@ -587,8 +614,9 @@ def test_every_latent_matrix_is_nonnegative(mixed_corpus, monkeypatch):
 # sigmoid's passes, made it 5.7 with a tape and 4.3 without (4.4 and 2.6 today).
 FORWARD_MEMORY_BUDGETS = {"grad": 5.0, "no_grad": 3.5}
 # The same for that forward's combined_loss and its backward: the two-log BCE
-# made them 3.02 and 3.60 (2.27 and 3.23 today).
-LOSS_MEMORY_BUDGETS = {"combined_loss": 2.5, "backward": 3.4}
+# made them 3.02 and 3.60, and building A' for MinCut's loss made the first
+# 2.27 (2.01 and 3.23 today).
+LOSS_MEMORY_BUDGETS = {"combined_loss": 2.1, "backward": 3.4}
 
 
 def _lone_mincut_graph():
@@ -739,6 +767,28 @@ def test_batched_gradient_is_the_sum_of_lone_reference_gradients(mixed_corpus, b
     got = _grads(T.tsum(loss), params)
     for name in params:
         assert rel_err(got[name], want[name]) <= 1e-10, name
+
+
+@pytest.mark.parametrize("use_mvp", [True, False])
+@pytest.mark.parametrize("backend", BACKEND_KINDS)
+def test_a_step_with_given_propagation_matrices_matches_one_that_computes_them(
+        mixed_corpus, backend, use_mvp):
+    # train_one hands each step its graphs' normalize_adjacency(A); the encoder
+    # and, without MVP, an unpruned backend use them in place of their own
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3, threshold_c=1.0))
+    model = tr.build_model(cfg, mixed_corpus, split(mixed_corpus, 0), seed=0)
+    params, graphs = model.named_parameters(), _batch_of_every_shape(mixed_corpus)
+    props = [mv.normalize_adjacency(g.adjacency) for g in graphs]
+    runs = []
+    for given in (None, props):
+        res = tr.forward_batch(model, graphs, use_mvp=use_mvp, props=given)
+        loss, parts = tr.combined_loss(res, [g.label for g in graphs])
+        grads = _grads(T.tsum(loss), params)
+        runs.append([res.logits.values, loss.values, *parts.values()]
+                    + [grads[k] for k in sorted(grads) if grads[k] is not None])
+    assert len(runs[0]) == len(runs[1])
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_batched_step_tape_budget():
