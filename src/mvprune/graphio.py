@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import os
 import warnings
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import multiview
 from .errors import ConfigError, FormatError, LoadError, SplitError
 from .rng import substream
 
@@ -18,6 +20,7 @@ TRAIN_FRAC, VAL_FRAC = 0.81, 0.09
 
 @dataclass
 class Graph:
+    """One labelled graph, checked when built; its arrays must not change after."""
     adjacency: np.ndarray  # n x n, binary, symmetric, zero diagonal
     features: np.ndarray   # n x d
     label: int
@@ -46,6 +49,11 @@ class Graph:
     @property
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
+
+    @functools.cached_property
+    def propagation(self) -> np.ndarray:
+        """D^{-1/2} (A + I) D^{-1/2}, the GCN's matrix of A: derived on first use, then kept."""
+        return multiview.normalize_adjacency(self.adjacency)
 
 
 @dataclass

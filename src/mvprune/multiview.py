@@ -107,8 +107,8 @@ def encode_views_xa(x: np.ndarray, adjacency: np.ndarray, partition: ViewPartiti
     a bias-free linear embedding of the view's columns followed by one graph
     convolution with ReLU. With a layout, `x` stacks a batch's nodes and
     `adjacency` holds its blocks flat; without one they are one graph's.
-    All views share one propagation matrix: `prop`, if given, which the caller
-    computed once for many forwards, else `propagation(adjacency, layout)`."""
+    All views share one propagation matrix: `prop`, if given (`forward_batch`
+    joins its graphs' `Graph.propagation`), else `propagation(adjacency, layout)`."""
     if len(partition.columns_per_view) != len(encoder.embed_weights):
         raise ContractError("partition and encoder view counts differ")
     for cols, w_embed in zip(partition.columns_per_view, encoder.embed_weights):

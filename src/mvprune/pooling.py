@@ -160,8 +160,8 @@ class PoolBackend:
         MinCut's h_G does not depend on its assignment S (see `mincut_pool`).
         Only the `ADJACENCY_KINDS` read `adjacency`, as the pruned graph
         A' = A m m^T of the 0/1 `indicator` m, so A and A' give the same
-        bits; MVP passes the others None. `prop`, if given, is the caller's
-        propagation matrix of that A' (of A, when `indicator` keeps all).
+        bits. `prop`, if given, is that A''s propagation matrix: `forward_batch`
+        passes its graphs' `Graph.propagation` when m keeps all (A' = A).
         """
         layout = T.as_layout(layout, len(x_prime.values))
         if prop is None and self.kind in ADJACENCY_KINDS:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import multiview, tensor as T
+from . import tensor as T
 from .errors import ConfigError, ContractError, MvpruneError, TrainingDiverged
 from .graphio import Dataset, FeatureScaler, Graph, SplitSpec, split
 from .multiview import (ViewEncoder, ViewPartition, default_overlap_ratio,
@@ -233,23 +233,21 @@ class ForwardResult:
 
 
 def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = None,
-                  threshold_c: float | None = None,
-                  props: list[np.ndarray] | None = None) -> ForwardResult:
+                  threshold_c: float | None = None) -> ForwardResult:
     """One forward over `graphs`, stacked in the order given (see `tensor.Layout`:
     adjacent graphs of one size share their products, so pass them sorted by
     size). Each graph gets the values its own forward would give, bit for bit.
-    `props`, if given, holds each graph's `normalize_adjacency` of its A,
-    computed once for many forwards; the encoder uses them, and so does a
-    backend when every node is kept (A' = A)."""
+    The encoder, and without MVP a backend that reads A, join the graphs' own
+    `Graph.propagation`; only a pruned A' gets its matrix per forward."""
     cfg = model.config
-    if use_mvp is None:
-        use_mvp = cfg.use_mvp
+    use_mvp = cfg.use_mvp if use_mvp is None else use_mvp
     c = cfg.threshold_c if threshold_c is None else threshold_c
     layout = T.layout_of(tuple(g.n for g in graphs))
     adjacency = layout.join([g.adjacency for g in graphs])
     x = layout.join([g.features for g in graphs], graphs[0].features.shape[1])
     x_std = model.scaler.transform(x)
-    prop = None if props is None else layout.join(props)
+    prop = (layout.join([g.propagation for g in graphs])
+            if use_mvp or model.backend.kind in ADJACENCY_KINDS else None)
     scores = recon_args = None
     if use_mvp:
         z = encode_views_xa(x_std, adjacency, model.partition, model.encoder, layout, prop)
@@ -264,8 +262,7 @@ def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = N
         x_in = apply_mask(x_std, None, indicator, layout)[0]
         a_in = adjacency if model.backend.kind in ADJACENCY_KINDS else None
     else:
-        indicator = np.ones(len(x_std))
-        x_in, a_in = x_std, adjacency
+        indicator, x_in, a_in = np.ones(len(x_std)), x_std, adjacency
     h_g, pool_args, selection = model.backend.forward(T.Tensor(x_in), a_in, indicator, layout,
                                                       None if use_mvp else prop)
     logits = classify(h_g, model.classifier)
@@ -350,12 +347,11 @@ def pruning_stats(dataset: Dataset, indices, indicators, selections) -> dict:
 
 
 def _run_phase(model: MvpModel, dataset: Dataset, sp: SplitSpec, seed: int,
-               trace: dict, props: dict[int, np.ndarray] | None, joint: bool):
+               trace: dict, joint: bool):
     """Pretraining (`joint` False) trains the backend and classifier on the
     unpruned graphs. The joint phase trains every parameter, through the
     pruning layer when the config uses it, and restores the weights of the
-    best validation epoch. Each step is one size-sorted batch of `batch_size`,
-    with its graphs' propagation matrices from `props`, if given."""
+    best validation epoch. Each step is one size-sorted batch of `batch_size`."""
     cfg = model.config
     use_mvp = joint and cfg.use_mvp
     epochs = cfg.epochs if joint else cfg.pretrain_epochs
@@ -371,8 +367,7 @@ def _run_phase(model: MvpModel, dataset: Dataset, sp: SplitSpec, seed: int,
             step = order[start:start + cfg.batch_size]  # sorted stably, so ties keep their order
             ids = sorted(step, key=lambda gi: dataset.graphs[gi].n)
             batch = [dataset.graphs[gi] for gi in ids]
-            res = forward_batch(model, batch, use_mvp=use_mvp,
-                                props=None if props is None else [props[gi] for gi in ids])
+            res = forward_batch(model, batch, use_mvp=use_mvp)
             loss, parts = combined_loss(res, [g.label for g in batch], cfg.use_recon_loss)
             bad = {ids[r] for r in np.flatnonzero(~np.isfinite(loss.values[:, 0]))}
             if bad:  # name the step's first graph whose loss is not finite
@@ -409,12 +404,9 @@ def train_one(config: TrainConfig, dataset: Dataset, sp: SplitSpec, seed: int):
                    ("pretrain_ce", "pretrain_la", "pretrain_lx", "pretrain_pool",
                     "joint_ce", "joint_la", "joint_lx", "joint_pool",
                     "total_loss", "val_accuracy")}
-    # each training graph's propagation matrix for every step of both phases, if one reads A
-    props = ({gi: multiview.normalize_adjacency(dataset.graphs[gi].adjacency) for gi in sp.train}
-             if config.use_mvp or config.backend in ADJACENCY_KINDS else None)
     if config.use_mvp and config.pretrain_epochs > 0:
-        _run_phase(model, dataset, sp, seed, trace, props, joint=False)
-    _run_phase(model, dataset, sp, seed, trace, props, joint=True)
+        _run_phase(model, dataset, sp, seed, trace, joint=False)
+    _run_phase(model, dataset, sp, seed, trace, joint=True)
     return model, trace
 
 

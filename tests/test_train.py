@@ -334,6 +334,43 @@ def test_run_trials_parallel_matches_serial(corpus):
     assert serial.partitions == parallel.partitions
 
 
+def test_run_trials_gives_the_same_results_on_graphs_that_hold_their_matrices():
+    # the first run leaves each forwarded graph holding its propagation matrix,
+    # which the parallel run then pickles into its workers with the dataset
+    ds, _ = synth_planted_anomalies(24, 10, 0.1, seed=0)
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, seeds=(0, 1), backend="mincut", clusters=3))
+    runs = [tr.run_trials(cfg, ds, return_models=True)]
+    assert all("propagation" in vars(ds.graphs[i]) for i in split(ds, 0).train)
+    runs += [tr.run_trials(cfg, ds, return_models=True),
+             tr.run_trials(cfg, ds, return_models=True, jobs=2)]
+    (first, models), rest = runs[0], runs[1:]
+    for report, others in rest:
+        assert report.to_dict() == first.to_dict()
+        for model, other in zip(models, others, strict=True):
+            state, want = other.state_dict(), model.state_dict()
+            assert state.keys() == want.keys()
+            assert all(state[k].tobytes() == want[k].tobytes() for k in want)
+
+
+@pytest.mark.parametrize("backend", ["mean", "mincut"])
+def test_training_without_the_reconstruction_loss_trains_only_the_task(corpus, backend):
+    # the reconstruction-loss ablation: the indicator is a stop-gradient, so
+    # no loss reaches the encoder and reconstruction head, which keep their
+    # initial weights; the backend and classifier train as usual
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3,
+                                        use_recon_loss=False))
+    sp = split(corpus, 0)
+    model, trace = tr.train_one(cfg, corpus, sp, seed=0)
+    fresh = tr.build_model(cfg, corpus, sp, seed=0)
+    trained = model.named_parameters()
+    for name, p in fresh.mvp_parameters().items():
+        assert trained[name].values.tobytes() == p.values.tobytes(), name
+    assert len(trace["joint_la"]) == cfg.epochs
+    assert all(v == 0.0 for v in trace["joint_la"] + trace["joint_lx"])
+    for name, p in fresh.task_parameters().items():
+        assert not np.array_equal(trained[name].values, p.values), name
+
+
 def test_save_report_is_json(tmp_path, corpus):
     cfg = tr.TrainConfig.from_dict(dict(SMALL))
     report = tr.run_trials(cfg, corpus)
@@ -518,8 +555,9 @@ BUDGET_SIZES = (4, 6, 9, 9, 12, 12, 12, 15, 18, 18, 22, 25, 25, 25, 30, 38, 45, 
 # per backend: tape nodes of a pretraining step and of a joint step, and
 # normalize_adjacency calls per train_one. Each is an upper bound at today's
 # count; a change that does less work lowers it. Normalizing A in every step,
-# not once per train_one, made the counts 34 and 85.
-WORK_BUDGETS = {"mean": (11, 30, 19), "mincut": (44, 63, 53)}
+# not once per graph, made the counts 34 and 85, and once per train_one and
+# again in each validation 19 and 53.
+WORK_BUDGETS = {"mean": (11, 30, 18), "mincut": (44, 63, 52)}
 
 
 def _budget_corpus():
@@ -550,14 +588,9 @@ def test_training_work_stays_within_its_budget(monkeypatch, backend):
     assert len(normalized) <= normalize_calls
 
 
-@pytest.mark.parametrize("use_mvp", [True, False])
-@pytest.mark.parametrize("backend", ["mean", "mincut"])
-def test_predict_normalizes_each_adjacency_at_most_once_per_call(monkeypatch, backend, use_mvp):
-    # per graph and call: A's matrix for the encoder, and A''s for a backend
-    # that reads the graph (A' = A, through an all-ones mask, without MVP)
-    ds = _budget_corpus()
-    model = tr.build_model(tr.TrainConfig.from_dict(dict(SMALL, backend=backend, use_mvp=use_mvp)),
-                           ds, split(ds, 0), seed=0)
+def _counting_normalizations(monkeypatch):
+    """Counts of the n x n matrices `normalize_adjacency` builds from now on:
+    of A ("A") and, through a keep mask, of the pruned A' ("masked")."""
     matrices, real = {"A": 0, "masked": 0}, mv.normalize_adjacency
 
     def counting(adjacency, *keep):
@@ -565,28 +598,45 @@ def test_predict_normalizes_each_adjacency_at_most_once_per_call(monkeypatch, ba
         return real(adjacency, *keep)
 
     monkeypatch.setattr(mv, "normalize_adjacency", counting)
-    for _ in range(2):  # nothing is kept from one call for the next
+    return matrices
+
+
+@pytest.mark.parametrize("use_mvp", [True, False])
+@pytest.mark.parametrize("backend", ["mean", "mincut"])
+def test_predict_normalizes_each_adjacency_at_most_once_per_call(monkeypatch, backend, use_mvp):
+    # A's matrix, for the encoder and for a backend that reads the unpruned
+    # graph, is built once per graph across training and every predict call;
+    # the pruned A''s, which depends on the keep mask, once per graph and call
+    ds = _budget_corpus()  # fresh graphs, which hold no matrix yet
+    sp = split(ds, 0)
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, use_mvp=use_mvp))
+    matrices = _counting_normalizations(monkeypatch)
+    model, _ = tr.train_one(cfg, ds, sp, seed=0)
+    reads_a = use_mvp or backend in ADJACENCY_KINDS
+    assert matrices["A"] == (len(sp.train) + len(sp.val) if reads_a else 0)
+    trained = dict(matrices)
+    for _ in range(2):
         tr.predict(model, ds.graphs)
-    graphs = 2 * len(ds.graphs)
-    assert matrices == {"A": graphs if use_mvp else 0,
-                        "masked": graphs if backend in ADJACENCY_KINDS else 0}
+    assert matrices["A"] == (len(ds.graphs) if reads_a else 0)
+    masked = 2 * len(ds.graphs) if use_mvp and backend in ADJACENCY_KINDS else 0
+    assert matrices["masked"] - trained["masked"] == masked
 
 
 @pytest.mark.parametrize("backend", BACKEND_KINDS)
 def test_one_forward_normalizes_each_adjacency_once(corpus, monkeypatch, backend):
-    # the encoder shares one matrix across its views; a GCN backend adds one for A'
-    calls, real = [], mv.normalize_adjacency
-
-    def counting(adjacency, *keep):
-        calls.append(adjacency.shape)
-        return real(adjacency, *keep)
-
-    monkeypatch.setattr(mv, "normalize_adjacency", counting)
+    # the encoder shares the graph's one matrix of A across its views, built on
+    # the graph's first forward; a GCN backend adds one for A' in every forward
     cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3))
     assert cfg.views == 4
     model = tr.build_model(cfg, corpus, split(corpus, 0), seed=0)
-    tr.forward_graph(model, corpus.graphs[0])
-    assert len(calls) == (2 if backend in ("gcn-sum", "attention-topk", "mincut") else 1)
+    g = corpus.graphs[0]
+    g = Graph(g.adjacency.copy(), g.features.copy(), g.label)  # the fixture's may be warm
+    matrices = _counting_normalizations(monkeypatch)
+    masked = int(backend in ADJACENCY_KINDS)
+    tr.forward_graph(model, g)
+    assert matrices == {"A": 1, "masked": masked}
+    tr.forward_graph(model, g)
+    assert matrices == {"A": 1, "masked": 2 * masked}
 
 
 def test_every_latent_matrix_is_nonnegative(mixed_corpus, monkeypatch):
@@ -609,10 +659,12 @@ def test_every_latent_matrix_is_nonnegative(mixed_corpus, monkeypatch):
     assert all(z.values.min() >= 0.0 for z in seen)
 
 
-# Peak traced bytes of one lone mincut forward of a 200-node graph, in units of
-# one n x n float64 array. Building A' in the forward, and the sign-branching
-# sigmoid's passes, made it 5.7 with a tape and 4.3 without (4.4 and 2.6 today).
-FORWARD_MEMORY_BUDGETS = {"grad": 5.0, "no_grad": 3.5}
+# Peak traced bytes of one lone mincut forward of a 200-node graph that holds
+# its propagation matrix, in units of one n x n float64 array. Building A' in
+# the forward, and the sign-branching sigmoid's passes, made it 5.7 with a tape
+# and 4.3 without; normalizing A in each forward made it 4.4 with a tape (3.4
+# and 2.6 today).
+FORWARD_MEMORY_BUDGETS = {"grad": 3.5, "no_grad": 3.5}
 # The same for that forward's combined_loss and its backward: the two-log BCE
 # made them 3.02 and 3.60, and building A' for MinCut's loss made the first
 # 2.27 (2.01 and 3.23 today).
@@ -621,8 +673,8 @@ LOSS_MEMORY_BUDGETS = {"combined_loss": 2.1, "backward": 3.4}
 
 def _lone_mincut_graph():
     """(model, graph): an untrained mincut model and a 200-node graph whose
-    forward prunes nodes, after one forward for the caches (such as the
-    graph's Layout)."""
+    forward prunes nodes, after one forward for the caches (the graph's Layout
+    and its propagation matrix)."""
     ds, _ = synth_planted_anomalies(12, 200, 0.1, seed=3)
     cfg = tr.TrainConfig.from_dict(dict(SMALL, latent_width=32, classifier_hidden=32,
                                         backend="mincut", clusters=4))
@@ -773,22 +825,34 @@ def test_batched_gradient_is_the_sum_of_lone_reference_gradients(mixed_corpus, b
 @pytest.mark.parametrize("backend", BACKEND_KINDS)
 def test_a_step_with_given_propagation_matrices_matches_one_that_computes_them(
         mixed_corpus, backend, use_mvp):
-    # train_one hands each step its graphs' normalize_adjacency(A); the encoder
-    # and, without MVP, an unpruned backend use them in place of their own
+    # a graph keeps the propagation matrix of its A once built: a step over
+    # warm graphs, after a step over them, gives the bits of one over fresh
+    # (cold) copies that build their matrices in the step
     cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3, threshold_c=1.0))
     model = tr.build_model(cfg, mixed_corpus, split(mixed_corpus, 0), seed=0)
     params, graphs = model.named_parameters(), _batch_of_every_shape(mixed_corpus)
-    props = [mv.normalize_adjacency(g.adjacency) for g in graphs]
+    cold = [Graph(g.adjacency.copy(), g.features.copy(), g.label) for g in graphs]
     runs = []
-    for given in (None, props):
-        res = tr.forward_batch(model, graphs, use_mvp=use_mvp, props=given)
-        loss, parts = tr.combined_loss(res, [g.label for g in graphs])
+    for batch in (graphs, graphs, cold):
+        res = tr.forward_batch(model, batch, use_mvp=use_mvp)
+        loss, parts = tr.combined_loss(res, [g.label for g in batch])
         grads = _grads(T.tsum(loss), params)
         runs.append([res.logits.values, loss.values, *parts.values()]
                     + [grads[k] for k in sorted(grads) if grads[k] is not None])
-    assert len(runs[0]) == len(runs[1])
-    for got, want in zip(*runs):
+    assert {"propagation" in vars(g) for g in cold} == {use_mvp or backend in ADJACENCY_KINDS}
+    assert len(runs[1]) == len(runs[2])
+    for got, want in zip(runs[1], runs[2]):
         assert got.tobytes() == want.tobytes()
+    for g in graphs:  # lone steps, which read the graph's own matrix, not a copy
+        loss, _ = tr.combined_loss(tr.forward_graph(model, g, use_mvp=use_mvp), g.label)
+        T.backward(loss)
+    # each graph's matrix is still the per-call propagation of its A, alone and in a batch
+    layout = T.layout_of(tuple(g.n for g in graphs))
+    batched = mv.propagation(layout.join([g.adjacency for g in graphs]), layout)
+    blocks = np.split(batched, np.cumsum([g.n * g.n for g in graphs])[:-1])
+    for g, block in zip(graphs, blocks):
+        assert g.propagation.tobytes() == block.tobytes()
+        assert g.propagation.tobytes() == mv.propagation(g.adjacency, T.layout_of((g.n,))).tobytes()
 
 
 def test_batched_step_tape_budget():
