@@ -20,7 +20,8 @@ TRAIN_FRAC, VAL_FRAC = 0.81, 0.09
 
 @dataclass
 class Graph:
-    """One labelled graph, checked when built; its arrays must not change after."""
+    """One labelled graph, checked when built. Its arrays (not copied) and the
+    `propagation` it keeps are read-only after: build a new Graph to change one."""
     adjacency: np.ndarray  # n x n, binary, symmetric, zero diagonal
     features: np.ndarray   # n x d
     label: int
@@ -41,6 +42,8 @@ class Graph:
             raise FormatError("adjacency entries must be 0 or 1")
         if not np.isfinite(x).all():
             raise FormatError("feature matrix contains NaN/Inf")
+        a.setflags(write=False)
+        x.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -52,8 +55,10 @@ class Graph:
 
     @functools.cached_property
     def propagation(self) -> np.ndarray:
-        """D^{-1/2} (A + I) D^{-1/2}, the GCN's matrix of A: derived on first use, then kept."""
-        return multiview.normalize_adjacency(self.adjacency)
+        """D^{-1/2} (A + I) D^{-1/2}, the GCN's matrix of A: made on first use, then kept."""
+        prop = multiview.normalize_adjacency(self.adjacency)
+        prop.setflags(write=False)
+        return prop
 
 
 @dataclass

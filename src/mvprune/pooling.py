@@ -40,8 +40,7 @@ def masked_mean_readout(x_prime: T.Tensor, indicator: np.ndarray,
 
 def masked_sum_readout(x_prime: T.Tensor, indicator: np.ndarray,
                        layout: T.Layout | None = None) -> T.Tensor:
-    ind = np.asarray(indicator, dtype=np.float64)
-    return T.transpose_matmul(T.Tensor(ind[:, None]), x_prime, layout)
+    return T.transpose_matmul(T.Tensor(np.reshape(indicator, (-1, 1))), x_prime, layout)
 
 
 # -- top-k pruning pools ---------------------------------------------------
@@ -53,7 +52,7 @@ def select_topk(scores: np.ndarray, keep_ratio: float, eligible: np.ndarray | No
     if not 0.0 < keep_ratio <= 1.0:
         raise ConfigError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
     n = scores.shape[0]
-    masked = scores.astype(np.float64).copy()
+    masked = scores.astype(np.float64)
     if eligible is None:
         eligible = np.ones(n, dtype=bool)
     else:
@@ -120,8 +119,8 @@ def mincut_loss(s: T.Tensor, adjacency: np.ndarray, layout: T.Layout | None = No
     masked product, and A''s degrees are m * (A @ m), exact integers. Only
     the products and the per-graph sums loop over size groups."""
     k = s.cols
-    layout = T.as_layout(layout, len(s.values))
-    keep = np.ones(len(s.values)) if keep is None else keep
+    layout = T.as_layout(layout, s.rows)
+    keep = np.ones(s.rows) if keep is None else keep
     a_s = T.propagate(adjacency, s, layout, keep)
     deg = keep * layout.map(lambda a, m: (a @ m[..., None])[..., 0], adjacency, keep, pairwise=1)
     edges = (layout.graph_sums(deg) > 0).astype(np.float64)[:, None]
@@ -163,7 +162,7 @@ class PoolBackend:
         bits. `prop`, if given, is that A''s propagation matrix: `forward_batch`
         passes its graphs' `Graph.propagation` when m keeps all (A' = A).
         """
-        layout = T.as_layout(layout, len(x_prime.values))
+        layout = T.as_layout(layout, x_prime.rows)
         if prop is None and self.kind in ADJACENCY_KINDS:
             prop = multiview.propagation(adjacency, layout, indicator)
         if self.kind == "mean":

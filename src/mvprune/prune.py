@@ -34,16 +34,13 @@ class ReconHead:
 
     @classmethod
     def init(cls, latent_width: int, d: int, rng: np.random.Generator) -> "ReconHead":
-        return cls(T.param(None, rng, (latent_width, d)),
-                   T.param(np.zeros((1, d))))
+        return cls(T.param(None, rng, (latent_width, d)), T.param(np.zeros((1, d))))
 
 
 def reconstruct(z: T.Tensor, head: ReconHead, layout: T.Layout | None = None):
     """A_hat = sigmoid(Z Z^T) (symmetric by construction), X_hat = ReLU(Z W + b).
     A batch's A_hat holds each graph's block flat (see `tensor.Layout`)."""
-    a_hat = T.gram_sigmoid(z, layout)
-    x_hat = T.relu(T.add(T.matmul(z, head.weight, layout), head.bias))
-    return a_hat, x_hat
+    return T.gram_sigmoid(z, layout), T.relu(T.add(T.matmul(z, head.weight, layout), head.bias))
 
 
 def recon_losses(adjacency: np.ndarray, features: np.ndarray,

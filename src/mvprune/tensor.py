@@ -1,11 +1,14 @@
 """Dense 2-D float64 tensors with a reverse-mode differentiation tape.
 
-An op's output requires grad iff grad mode is on and an operand requires
-grad; only then does it keep its operands and a backward closure, which
-`backward(loss)` replays once each in reverse topological order. Ops on
-constants record nothing, a backward computes no gradient for an operand that
-needs none, and inside `no_grad()` nothing is recorded at all: validation, the
-test split, `sweep`, `export-scores` and `analyze` forward grad-free.
+A tensor's `values` array is bound once, when it is made, and its `shape`,
+`rows` and `cols` are attributes set then: training and `load_state_dict`
+write into a parameter's array in place. An op's output requires grad iff
+grad mode is on and an operand requires grad; only then does it keep its
+operands and a backward closure, which `backward(loss)` replays once each in
+reverse topological order. Ops on constants record nothing, a backward
+computes no gradient for an operand that needs none, and inside `no_grad()`
+nothing is recorded at all: validation, the test split, `sweep`,
+`export-scores` and `analyze` forward grad-free.
 
 A batch of graphs is one tensor whose rows stack the graphs' nodes in the
 caller's order, as a `Layout` describes; pairwise data (A, A_hat) holds the
@@ -17,7 +20,8 @@ Only the products, the per-graph sums and the per-graph scales loop over the
 size groups; an elementwise pass over pairwise data (the Gram's sigmoid, the
 BCE's clip, log and gradient, the masked propagation's mask) runs once over
 the whole batch, since no entry's value depends on the graph it belongs to.
-A lone graph is a batch of one, which these ops assume when given no layout.
+A lone graph is a batch of one, which these ops assume when given no layout,
+bar `mul` by a 1x1 factor and `tsum`, which then take the whole array.
 
 The fused ops `gcn_views` (the multi-view encoder), `gram_sigmoid`
 (sigmoid(Z Z^T)), `clipped_bce`, `mse` and `cross_entropy` are one tape node
@@ -25,8 +29,8 @@ each. Their backward repeats the products and elementwise expressions of the
 primitive chain they replace, in its order, so values and gradients are
 bit-identical to that chain on a Z >= 0 (the encoder's ReLU output) and a 0/1
 target (the adjacency `Graph` checks). Broadcasting is limited to row-vectors
-over rows (bias add) and one value per graph (`mul`, a 1x1 scalar for one
-graph); everything else must match exactly so shape bugs fail loudly.
+over rows (bias add) and one value per graph or per array (`mul`); everything
+else must match exactly so shape bugs fail loudly.
 """
 
 from __future__ import annotations
@@ -155,30 +159,17 @@ def as_layout(layout: Layout | None, rows: int) -> Layout:
 
 
 class Tensor:
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
+    """A 2-D float64 array, bound once, with its shape as attributes and its place on the tape."""
+    __slots__ = ("values", "shape", "rows", "cols", "grad", "requires_grad", "_parents",
+                 "_backward")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
-        self.values = arr
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = ()
-        self._backward = None
-
-    # -- introspection -----------------------------------------------------
-    @property
-    def shape(self):
-        return self.values.shape
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
+        self.values, self.grad, self.requires_grad = arr, None, requires_grad
+        self.rows, self.cols = self.shape = arr.shape
+        self._parents, self._backward = (), None
 
     def item(self) -> float:
         if self.shape != (1, 1):
@@ -192,8 +183,7 @@ class Tensor:
 def param(values, rng: np.random.Generator | None = None, shape=None) -> Tensor:
     """A trainable leaf. With `rng` and `shape`, Glorot-uniform initialized."""
     if values is None:
-        fan_in, fan_out = shape
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        bound = np.sqrt(6.0 / sum(shape))  # fan in + fan out
         values = rng.uniform(-bound, bound, size=shape)
     return Tensor(values, requires_grad=True)
 
@@ -216,8 +206,9 @@ def _op(values, parents: tuple, backward) -> Tensor:
     """An op's output: on the tape iff grad mode is on and a parent requires
     grad, else a constant leaf. `backward` must not reference the output, or
     every tape becomes a reference cycle."""
-    out = Tensor.__new__(Tensor)  # no __init__ checks: op values are 2-D float64
+    out = Tensor.__new__(Tensor)  # no __init__ checks: op values are float64
     out.values, out.grad = values, None
+    out.rows, out.cols = out.shape = values.shape  # fails unless 2-D
     out.requires_grad, out._parents, out._backward = False, (), None
     if _grad_enabled:
         for p in parents:
@@ -247,7 +238,7 @@ def matmul(a: Tensor, b: Tensor, layout: Layout | None = None) -> Tensor:
     the values a lone graph gets; the backward is one plain product."""
     if a.cols != b.rows:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    layout = as_layout(layout, len(a.values))
+    layout = as_layout(layout, a.rows)
     values = layout.map(np.matmul, a.values, args=(b.values,), cols=b.cols)
 
     def bw(g):
@@ -267,7 +258,7 @@ def propagate(pairs: np.ndarray, h: Tensor, layout: Layout | None = None,
     A': m * (A @ (m * h)), and the backward m * (A^T @ (m * g)). Each product
     term is A''s term but for the sign of a zero, which no nonzero sum
     keeps; a dropped row is +0, as A''s zero row gives."""
-    layout = as_layout(layout, len(h.values))
+    layout = as_layout(layout, h.rows)
     if pairs.size != layout.pairs:
         raise ShapeError(f"propagate: {pairs.size} pairwise entries for {layout.pairs}")
     kept = None if keep is None else keep[:, None]
@@ -337,7 +328,7 @@ def transpose_matmul(a: Tensor, b: Tensor, layout: Layout | None = None) -> Tens
     """a_g^T @ b_g for each graph g, stacked: (graphs * a.cols) x b.cols."""
     if a.rows != b.rows:
         raise ShapeError(f"transpose_matmul: {a.shape}^T @ {b.shape}")
-    layout = as_layout(layout, len(a.values))
+    layout = as_layout(layout, a.rows)
     values = layout.map(lambda x, y: x.swapaxes(-1, -2) @ y, a.values, b.values, cols=b.cols)
 
     def bw(g):
@@ -364,23 +355,30 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _op(a.values + b.values, (a, b), bw)
 
 
+def _total(a: np.ndarray) -> np.ndarray:  # the sum of all entries, 1x1
+    return np.add.reduce(a.reshape(1, -1), 1, keepdims=True)
+
+
 def mul(a: Tensor, b: Tensor, layout: Layout | None = None) -> Tensor:
-    """Elementwise product, or each graph's rows of `a` times that graph's
-    entry of `b`, a graphs x 1 column (a 1x1 scalar for one graph)."""
+    """Elementwise product; or, with a layout, each graph's rows of `a` times
+    that graph's entry of `b`, a graphs x 1 column; or, without one, all of
+    `a` times a 1x1 `b`."""
     if b.shape == a.shape:
-        factor, graphs = b.values, None
+        factor, sums = b.values, None
+    elif layout is None and b.shape == (1, 1):
+        factor, sums = b.values, _total
     else:
-        graphs = as_layout(layout, len(a.values))
-        if b.shape != (len(graphs.sizes), 1):
-            raise ShapeError(f"mul: {a.shape} * {b.shape} on {len(graphs.sizes)} graphs")
-        factor = b.values if graphs._lone else graphs.spread(b.values[:, 0])[:, None]
+        layout = as_layout(layout, a.rows)
+        if b.shape != (len(layout.sizes), 1):
+            raise ShapeError(f"mul: {a.shape} * {b.shape} on {len(layout.sizes)} graphs")
+        factor, sums = layout.spread(b.values[:, 0])[:, None], layout.graph_sums
 
     def bw(g):
         if a.requires_grad:
             _accum(a, g * factor)
         if b.requires_grad:
             gb = g * a.values
-            _accum(b, gb if graphs is None else graphs.graph_sums(gb)[:, None])
+            _accum(b, gb if sums is None else sums(gb).reshape(b.shape))
 
     return _op(a.values * factor, (a, b), bw)
 
@@ -415,8 +413,11 @@ def reciprocal(a: Tensor) -> Tensor:
 
 
 def tsum(a: Tensor, layout: Layout | None = None) -> Tensor:
-    """Each graph's entries summed: a graphs x 1 column (1x1 for one graph)."""
-    layout = as_layout(layout, len(a.values))
+    """Each graph's entries summed, a graphs x 1 column; without a layout, all
+    entries, 1x1."""
+    if layout is None:
+        return _op(_total(a.values), (a,), lambda g: _accum(a, np.full(a.shape, g[0, 0]), True))
+    layout = as_layout(layout, a.rows)
     return _op(layout.graph_sums(a.values)[:, None], (a,),
                lambda g: _accum(a, layout.spread(g[:, 0], a.cols).reshape(a.shape)))
 
@@ -438,7 +439,7 @@ def gram_sigmoid(z: Tensor, layout: Layout | None = None) -> Tensor:
     The sigmoid is 1 / (1 + exp(-x)) in place, exactly 0 below x = -709. On a
     Z >= 0, such as the encoder's ReLU output, it gives the bits of the
     sign-branching sigmoid; a negative Gram entry may round differently."""
-    layout = as_layout(layout, len(z.values))
+    layout = as_layout(layout, z.rows)
     if layout._lone:
         s = z.values @ z.values.T
     else:  # each group's Grams written into one batch row
@@ -475,7 +476,7 @@ def clipped_bce(p: Tensor, target, eps: float, layout: Layout | None = None) -> 
     target = np.asarray(target, dtype=np.float64)
     if target.size != p.values.size:
         raise ShapeError(f"clipped_bce: target {target.shape} != probabilities {p.shape}")
-    layout = layout or layout_of((len(p.values),))
+    layout = layout or layout_of((p.rows,))
 
     def signed_q():  # c + (T - 1): q where T is 1 and -q where T is 0, rounded as 1 - c is
         q = np.clip(p.values, eps, 1.0 - eps)
@@ -504,7 +505,7 @@ def mse(x: Tensor, target, layout: Layout | None = None) -> Tensor:
     target = np.asarray(target, dtype=np.float64)
     if target.shape != x.shape:
         raise ShapeError(f"mse: target {target.shape} != input {x.shape}")
-    layout = as_layout(layout, len(x.values))
+    layout = as_layout(layout, x.rows)
     s = 1.0 / (layout.sizes * x.cols)
     diff = x.values * -1.0 + target
 

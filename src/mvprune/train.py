@@ -119,8 +119,7 @@ class Adam:
     """Adaptive-moment gradient descent over a list of parameter tensors."""
 
     def __init__(self, params: list[T.Tensor], lr: float):
-        self.params = params
-        self.lr = lr
+        self.params, self.lr = params, lr
         self.m = [np.zeros(p.shape) for p in params]
         self.v = [np.zeros(p.shape) for p in params]
         self.t = 0
@@ -178,7 +177,7 @@ class MvpModel:
         return {k: p.values.copy() for k, p in self.named_parameters().items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        """Set every parameter from `state`: all of them, in their shapes, and nothing else."""
+        """Copy `state` into the parameters' own arrays: all, in their shapes, nothing else."""
         params = self.named_parameters()
         wrong = {"missing": params.keys() - state.keys(), "extra": state.keys() - params.keys(),
                  "mis-shaped": {k for k in params.keys() & state.keys()
@@ -187,7 +186,7 @@ class MvpModel:
             raise ContractError("state dict does not fit the model: " + "; ".join(
                 f"{what} {', '.join(sorted(keys))}" for what, keys in wrong.items() if keys))
         for k, v in state.items():
-            params[k].values = np.asarray(v, dtype=np.float64).copy()
+            np.copyto(params[k].values, np.asarray(v, dtype=np.float64))
 
 
 def build_model(config: TrainConfig, dataset: Dataset, sp: SplitSpec, seed: int) -> MvpModel:
@@ -488,9 +487,7 @@ def run_trials(config: TrainConfig, dataset: Dataset,
         report.prune_stats.append(res["prune_stats"])
         if return_models:
             models.append(restore_model(config, dataset, res["seed"], res["state"]))
-    if return_models:
-        return report, models
-    return report
+    return (report, models) if return_models else report
 
 
 def save_report(report: TrialReport, path: str):

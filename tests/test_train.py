@@ -552,12 +552,25 @@ def test_mincut_forward_op_budget(monkeypatch):
 # holds size groups of one graph and of several
 BUDGET_SIZES = (4, 6, 9, 9, 12, 12, 12, 15, 18, 18, 22, 25, 25, 25, 30, 38, 45, 60, 70, 90, 130,
                 210)
-# per backend: tape nodes of a pretraining step and of a joint step, and
-# normalize_adjacency calls per train_one. Each is an upper bound at today's
-# count; a change that does less work lowers it. Normalizing A in every step,
-# not once per graph, made the counts 34 and 85, and once per train_one and
-# again in each validation 19 and 53.
-WORK_BUDGETS = {"mean": (11, 30, 18), "mincut": (44, 63, 52)}
+# per backend, bounds at today's counts of the work that does not depend on
+# the interpreter, counted by wrapping names: per pretraining and per joint
+# step (the largest over a train_one's steps), the tape nodes `_toposort`
+# orders and the parent links it walks, the op outputs (`tensor._op`), the
+# `Layout` method calls and the batch's size groups; per lone forward of a
+# trained model, op outputs and `Layout` calls; and normalize_adjacency calls
+# per train_one. A change that does less work lowers its bound. Normalizing A
+# in every step, not once per graph, made the tape nodes 34 and 85, and once
+# per train_one and again in each validation 19 and 53.
+WORK_BUDGETS = {
+    "mean": dict(pretrain_nodes=11, pretrain_links=11, pretrain_ops=8, pretrain_layout=17,
+                 pretrain_groups=8, joint_nodes=30, joint_links=31, joint_ops=18,
+                 joint_layout=45, joint_groups=8, lone_ops=11, lone_layout=17,
+                 normalize_calls=18),
+    "mincut": dict(pretrain_nodes=44, pretrain_links=57, pretrain_ops=37, pretrain_layout=89,
+                   pretrain_groups=8, joint_nodes=63, joint_links=77, joint_ops=47,
+                   joint_layout=120, joint_groups=8, lone_ops=18, lone_layout=18,
+                   normalize_calls=52),
+}
 
 
 def _budget_corpus():
@@ -566,26 +579,141 @@ def _budget_corpus():
     return Dataset(graphs, 8, 2, "mixed")
 
 
-@pytest.mark.parametrize("backend", sorted(WORK_BUDGETS))
-def test_training_work_stays_within_its_budget(monkeypatch, backend):
+def _training_work(monkeypatch, backend) -> dict:
+    """`WORK_BUDGETS`' counts of one train_one on the budget corpus, then of
+    a lone forward of its largest graph."""
     ds = _budget_corpus()
     cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend))
-    nodes, normalized = [], []
-    real_backward, real_normalize = T.backward, mv.normalize_adjacency
+    counts = {"ops": 0, "layout": 0, "normalize_calls": 0}
+    steps, start, groups, tape = [], [dict(counts)], [], []
 
-    def counting_backward(root):  # each step's T.tsum(loss)
-        nodes.append(len(T._toposort(root)))
+    def wrap(owner, name, key):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    wrap(T, "_op", "ops")
+    for name in ("stacks", "join", "map", "split", "blocks", "spread", "graph_sums"):
+        wrap(T.Layout, name, "layout")
+    wrap(mv, "normalize_adjacency", "normalize_calls")
+    real_forward, real_backward, real_toposort = tr.forward_batch, T.backward, T._toposort
+
+    def forward(*args, **kwargs):  # a step starts with its forward
+        start[0] = dict(counts)
+        res = real_forward(*args, **kwargs)
+        groups.append(len(res.layout.groups))
+        return res
+
+    def toposort(root):
+        order = real_toposort(root)
+        tape.append((len(order), sum(len(t._parents) for t in order)))
+        return order
+
+    def backward(root):  # and ends with its backward
         real_backward(root)
+        steps.append(dict(nodes=tape[-1][0], links=tape[-1][1], groups=groups[-1],
+                          **{k: counts[k] - start[0][k] for k in ("ops", "layout")}))
 
-    monkeypatch.setattr(T, "backward", counting_backward)
-    monkeypatch.setattr(mv, "normalize_adjacency",
-                        lambda a, *keep: normalized.append(a.shape) or real_normalize(a, *keep))
-    tr.train_one(cfg, ds, split(ds, 0), seed=0)
-    pretrain, joint, normalize_calls = WORK_BUDGETS[backend]
-    steps = 3  # 17 training graphs in steps of 8
-    assert len(nodes) == steps * (cfg.pretrain_epochs + cfg.epochs)
-    assert max(nodes[:steps]) <= pretrain and max(nodes[steps:]) <= joint
-    assert len(normalized) <= normalize_calls
+    monkeypatch.setattr(tr, "forward_batch", forward)
+    monkeypatch.setattr(T, "backward", backward)
+    monkeypatch.setattr(T, "_toposort", toposort)
+    model, _ = tr.train_one(cfg, ds, split(ds, 0), seed=0)
+    n_steps = 3  # 17 training graphs in steps of 8
+    assert len(steps) == n_steps * (cfg.pretrain_epochs + cfg.epochs)
+    work = {"normalize_calls": counts["normalize_calls"]}
+    for phase, part in (("pretrain", steps[:n_steps]), ("joint", steps[n_steps:])):
+        work.update({f"{phase}_{k}": max(step[k] for step in part) for k in part[0]})
+    before = dict(counts)
+    tr.forward_graph(model, max(ds.graphs, key=lambda g: g.n))
+    work.update(lone_ops=counts["ops"] - before["ops"],
+                lone_layout=counts["layout"] - before["layout"])
+    return work
+
+
+@pytest.mark.parametrize("backend", sorted(WORK_BUDGETS))
+def test_training_work_stays_within_its_budget(monkeypatch, backend):
+    work, budget = _training_work(monkeypatch, backend), WORK_BUDGETS[backend]
+    assert work.keys() == budget.keys()
+    assert {k: v for k, v in work.items() if v > budget[k]} == {}
+
+
+def _joint_step_batch(ds, sp):
+    return sorted((ds.graphs[i] for i in sp.train[:8]), key=lambda g: g.n)
+
+
+@pytest.mark.parametrize("backend", ["mean", "mincut"])
+def test_tensor_shapes_are_set_once_and_parameters_keep_their_arrays(monkeypatch, backend):
+    ds = _budget_corpus()
+    sp = split(ds, 0)
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend))
+    model = tr.build_model(cfg, ds, sp, seed=0)
+    params = model.named_parameters()
+    arrays = {k: p.values for k, p in params.items()}
+    batch = _joint_step_batch(ds, sp)
+    assert len({g.n for g in batch}) > 1
+    loss, _ = tr.combined_loss(tr.forward_batch(model, batch), [g.label for g in batch])
+    root = T.tsum(loss)
+    seen, stack = set(), [root]
+    while stack:  # every tensor on the tape, constant operands included
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+            assert t.shape == t.values.shape == (t.rows, t.cols)
+    assert len(seen) > 20
+    before = model.state_dict()
+    T.backward(root)
+    tr.Adam(list(params.values()), cfg.learning_rate).step()
+    assert all(params[k].values is arrays[k] for k in params)
+    assert not all(np.array_equal(before[k], arrays[k]) for k in params)  # the step wrote
+    state = {k: v + 1.0 for k, v in model.state_dict().items()}
+    model.load_state_dict(state)
+    assert all(params[k].values is arrays[k] and np.array_equal(arrays[k], state[k])
+               for k in params)
+    built, real_build = {}, tr.build_model
+
+    def build(*args):
+        fresh = real_build(*args)
+        built.update({k: p.values for k, p in fresh.named_parameters().items()})
+        return fresh
+
+    monkeypatch.setattr(tr, "build_model", build)
+    restored = tr.restore_model(cfg, ds, 0, state).named_parameters()
+    assert all(restored[k].values is built[k] and np.array_equal(built[k], state[k])
+               for k in restored)
+
+
+def test_a_feature_topk_step_builds_only_its_batch_layouts(monkeypatch):
+    # a 1x1 factor and a whole-array sum need no layout; a lone layout over a
+    # batch's rows was one more cached entry per distinct batch total
+    ds = _budget_corpus()
+    sp = split(ds, 0)
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend="feature-topk"))
+    model = tr.build_model(cfg, ds, sp, seed=0)
+    batch = _joint_step_batch(ds, sp)
+    asked, real = set(), T.layout_of
+    monkeypatch.setattr(T, "layout_of", lambda sizes: asked.add(sizes) or real(sizes))
+    loss, _ = tr.combined_loss(tr.forward_batch(model, batch), [g.label for g in batch])
+    T.backward(T.tsum(loss))
+    assert asked == {tuple(g.n for g in batch), (1,) * len(batch)}
+
+
+def test_a_graph_s_arrays_are_read_only_after_a_forward(corpus):
+    # a kept propagation matrix would go stale if A could change in place
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend="mincut", clusters=3))
+    model = tr.build_model(cfg, corpus, split(corpus, 0), seed=0)
+    g = corpus.graphs[0]
+    g = Graph(g.adjacency.copy(), g.features.copy(), g.label)
+    tr.forward_graph(model, g)
+    for array in (g.adjacency, g.features, g.propagation):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 1.0
 
 
 def _counting_normalizations(monkeypatch):
@@ -951,6 +1079,7 @@ def test_divergence_names_the_first_bad_graph_of_the_batch():
     first, later = next((a, b) for i, a in enumerate(order) for b in order[i + 1:]
                         if graphs[b].n < graphs[a].n)
     for gi in (first, later):
+        graphs[gi].adjacency.setflags(write=True)  # the test's own array, which Graph locked
         graphs[gi].adjacency[0, 0] = np.nan  # reaches that graph's MinCut loss only
     with pytest.raises(TrainingDiverged) as info:
         tr.train_one(cfg, ds, sp, seed=0)
