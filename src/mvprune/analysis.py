@@ -104,21 +104,17 @@ class ProfileRow:
 
 
 def degree_pruning_profile(dataset: Dataset, scores_per_graph: dict[str, list[np.ndarray]],
-                           policies=None, c: float = 2.0,
-                           keep_ratio: float = 0.75) -> list[ProfileRow]:
+                           c: float = 2.0, keep_ratio: float = 0.75) -> list[ProfileRow]:
     """Bin nodes by degree and report the pruned fraction per bin per policy.
 
-    `scores_per_graph` maps score-driven policy names ('mvp', 'attention') to
-    one score vector per graph; degree policies need no scores.
+    The policies are those of `scores_per_graph`, which maps score-driven
+    names ('mvp', 'attention') to one score vector per graph, then every degree policy.
     """
-    if policies is None:
-        policies = tuple(scores_per_graph.keys()) + DEGREE_POLICIES
     counts: dict[tuple[str, int], list[int]] = {}
     for gi, graph in enumerate(dataset.graphs):
         deg = graph.degrees.astype(int)
-        for policy in policies:
-            scores = scores_per_graph.get(policy, [None] * len(dataset))[gi] \
-                if policy in ("mvp", "attention") else None
+        for policy in tuple(scores_per_graph) + DEGREE_POLICIES:
+            scores = scores_per_graph[policy][gi] if policy in scores_per_graph else None
             keep = policy_indicator(policy, graph, scores, c=c, keep_ratio=keep_ratio)
             for node in range(graph.n):
                 cell = counts.setdefault((policy, int(deg[node])), [0, 0])

@@ -21,7 +21,7 @@ TRAIN_FRAC, VAL_FRAC = 0.81, 0.09
 @dataclass
 class Graph:
     """One labelled graph, checked when built. Its arrays (not copied) and the
-    `propagation` it keeps are read-only after: build a new Graph to change one."""
+    `propagation` it keeps are read-only after, unpickled too: build a new Graph to change one."""
     adjacency: np.ndarray  # n x n, binary, symmetric, zero diagonal
     features: np.ndarray   # n x d
     label: int
@@ -44,6 +44,11 @@ class Graph:
             raise FormatError("feature matrix contains NaN/Inf")
         a.setflags(write=False)
         x.setflags(write=False)
+
+    def __setstate__(self, state: dict):  # an unpickled array comes back writable
+        self.__dict__.update(state)
+        for name in state.keys() - {"label"}:  # the arrays, and a kept `propagation`
+            state[name].setflags(write=False)
 
     @property
     def n(self) -> int:

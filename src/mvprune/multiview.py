@@ -66,18 +66,18 @@ class ViewEncoder:
 
 
 def normalize_adjacency(adjacency: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-    """D^{-1/2} (A + I) D^{-1/2} with degrees from A + I; the I goes on the diagonal.
+    """D^{-1/2} (A' + I) D^{-1/2}, degrees from A' + I, of A' = A m m^T for a 0/1
+    `keep` mask m (n, or b x n; None keeps every node: A' = A), without building A'.
 
     `adjacency` is one n x n matrix or a (b, n, n) stack of them. Constant with
-    respect to training, so it enters the tape as a constant. With a 0/1 `keep`
-    mask (n, or b x n), the matrix of A' = A m m^T, bit for bit and without
-    building A': for 0/1 entries the degree sums are exact integers either
-    way, and a dropped node's row and column are 0 bar its 1 on the diagonal.
+    respect to training, so it enters the tape as a constant. For 0/1 entries
+    the degree sums are exact integers, as row sums or as products with m, and
+    a dropped node's row and column are 0 bar its 1 on the diagonal.
     """
     n = adjacency.shape[-1]
-    deg = adjacency.sum(axis=-1) if keep is None else keep * (adjacency @ keep[..., None])[..., 0]
-    inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
-    side = inv_sqrt if keep is None else keep * inv_sqrt
+    keep = np.ones(adjacency.shape[:-1]) if keep is None else keep
+    inv_sqrt = 1.0 / np.sqrt(keep * (adjacency @ keep[..., None])[..., 0] + 1.0)
+    side = keep * inv_sqrt
     prop = side[..., :, None] * adjacency
     prop *= side[..., None, :]
     diagonal = prop.reshape(prop.shape[:-2] + (n * n,))[..., ::n + 1]
@@ -107,7 +107,7 @@ def encode_views_xa(x: np.ndarray, adjacency: np.ndarray, partition: ViewPartiti
     a bias-free linear embedding of the view's columns followed by one graph
     convolution with ReLU. With a layout, `x` stacks a batch's nodes and
     `adjacency` holds its blocks flat; without one they are one graph's.
-    All views share one propagation matrix: `prop`, if given (`forward_batch`
+    All views share A's propagation matrix: `prop`, if given (`forward_batch`
     joins its graphs' `Graph.propagation`), else `propagation(adjacency, layout)`."""
     if len(partition.columns_per_view) != len(encoder.embed_weights):
         raise ContractError("partition and encoder view counts differ")

@@ -4,9 +4,9 @@ Every backend maps (X', A, indicator) to a fixed-width graph vector, the
 inputs of its auxiliary loss (MinCut's `mincut_loss`, which only the training
 loss builds; None for the others, meaning exactly zero) and the keep-mask its
 readout used. The backends that read A see the pruned A' = A m m^T through the
-indicator m (the masked `multiview.normalize_adjacency`), and so does MinCut's
-training loss (the masked `tensor.propagate`): no A' is ever built. Their
-products and per-graph sums loop over a batch's size groups.
+indicator m: they derive its matrix (the masked `multiview.normalize_adjacency`),
+and MinCut's training loss uses the masked `tensor.propagate`: no A' is ever
+built. Their products and per-graph sums loop over a batch's size groups.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ class PoolBackend:
     params: dict = field(default_factory=dict)          # name -> Tensor
     keep_ratio: float = 0.75
 
-    def forward(self, x_prime: T.Tensor, adjacency: np.ndarray | None, indicator: np.ndarray,
+    def forward(self, x_prime: T.Tensor, adjacency: np.ndarray, indicator: np.ndarray,
                 layout: T.Layout | None = None, prop: np.ndarray | None = None):
         """Returns (h_G, pool_args, selection): one row of h_G per graph (see
         `tensor.Layout`; one graph without a layout). `pool_args` holds
@@ -157,13 +157,13 @@ class PoolBackend:
         `selection` is the keep-mask that reaches the readout: the top-k
         kinds' own selection within `indicator`, else `indicator` itself.
         MinCut's h_G does not depend on its assignment S (see `mincut_pool`).
-        Only the `ADJACENCY_KINDS` read `adjacency`, as the pruned graph
-        A' = A m m^T of the 0/1 `indicator` m, so A and A' give the same
-        bits. `prop`, if given, is that A''s propagation matrix: `forward_batch`
-        passes its graphs' `Graph.propagation` when m keeps all (A' = A).
+        Only the `ADJACENCY_KINDS` read A, as the pruned A' = A m m^T of the
+        0/1 `indicator` m, so A and A' give the same bits. `prop` is A's
+        propagation matrix or None: they use it if m keeps every node, else
+        A''s, `multiview.propagation(A, layout, m)`.
         """
         layout = T.as_layout(layout, x_prime.rows)
-        if prop is None and self.kind in ADJACENCY_KINDS:
+        if self.kind in ADJACENCY_KINDS and (prop is None or not indicator.all()):
             prop = multiview.propagation(adjacency, layout, indicator)
         if self.kind == "mean":
             return masked_mean_readout(x_prime, indicator, layout), None, indicator

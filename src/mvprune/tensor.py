@@ -75,19 +75,20 @@ class Layout:
         if min(sizes, default=1) < 1:
             raise ContractError("every graph of a batch needs at least one node")
         self.sizes = np.array(sizes, dtype=np.int64)
+        self.sizes.setflags(write=False)  # `layout_of` shares it: it must not change
         # each group, and its (first, end, stack shape) of rows and of pairwise entries
-        self.groups: list[Group] = []
-        self._row_cuts, self._pair_cuts = [], []
+        groups, row_cuts, pair_cuts = [], [], []
         graph = row = pair = 0
         for n, run in itertools.groupby(sizes):
             b = len(list(run))
-            self.groups.append(Group(n, b, graph, row))
-            self._row_cuts.append((row, row + b * n, (b, n)))
-            self._pair_cuts.append((pair, pair + b * n * n, (b, n, n)))
+            groups.append(Group(n, b, graph, row))
+            row_cuts.append((row, row + b * n, (b, n)))
+            pair_cuts.append((pair, pair + b * n * n, (b, n, n)))
             graph, row, pair = graph + b, row + b * n, pair + b * n * n
+        self.groups, self._row_cuts, self._pair_cuts = tuple(groups), tuple(row_cuts), tuple(pair_cuts)
         self.rows, self.pairs = row, pair
         self._lone = row if len(sizes) == 1 else 0  # a lone graph's node count
-        self._offsets = np.cumsum(sizes)[:-1].tolist()  # where `split` cuts
+        self._offsets = tuple(np.cumsum(sizes)[:-1].tolist())  # where `split` cuts
 
     def stacks(self, a: np.ndarray, pairwise: bool = False,
                rows: int | None = None) -> list[np.ndarray]:

@@ -150,7 +150,6 @@ class MvpModel:
     backend: PoolBackend
     classifier: ClassifierHead
     scaler: FeatureScaler
-    num_classes: int
 
     def mvp_parameters(self) -> dict[str, T.Tensor]:
         out = {}
@@ -207,7 +206,7 @@ def build_model(config: TrainConfig, dataset: Dataset, sp: SplitSpec, seed: int)
     classifier = ClassifierHead.init(backend.out_width, config.classifier_hidden,
                                      dataset.num_classes, rng)
     return MvpModel(config, partition, encoder, recon, backend, classifier,
-                    FeatureScaler.fit(dataset, sp.train), dataset.num_classes)
+                    FeatureScaler.fit(dataset, sp.train))
 
 
 def restore_model(config: TrainConfig, dataset: Dataset, seed: int, state) -> MvpModel:
@@ -236,8 +235,9 @@ def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = N
     """One forward over `graphs`, stacked in the order given (see `tensor.Layout`:
     adjacent graphs of one size share their products, so pass them sorted by
     size). Each graph gets the values its own forward would give, bit for bit.
-    The encoder, and without MVP a backend that reads A, join the graphs' own
-    `Graph.propagation`; only a pruned A' gets its matrix per forward."""
+    A's matrix is joined from the graphs' own `Graph.propagation` if the encoder
+    or the backend reads it. With MVP or without, the backend gets X', A, the mask
+    m and that matrix, and derives the pruned A''s from m; only m and X' differ."""
     cfg = model.config
     use_mvp = cfg.use_mvp if use_mvp is None else use_mvp
     c = cfg.threshold_c if threshold_c is None else threshold_c
@@ -257,13 +257,11 @@ def forward_batch(model: MvpModel, graphs: list[Graph], use_mvp: bool | None = N
         # a stop-gradient, not a straight-through estimator: the indicator is a
         # constant mask, so the task loss sends no gradient to the scorer (the
         # encoder and reconstruction head), which learns from La and Lx alone
-        # the backends that read A see A' = A m m^T through the indicator m
         x_in = apply_mask(x_std, None, indicator, layout)[0]
-        a_in = adjacency if model.backend.kind in ADJACENCY_KINDS else None
     else:
-        indicator, x_in, a_in = np.ones(len(x_std)), x_std, adjacency
-    h_g, pool_args, selection = model.backend.forward(T.Tensor(x_in), a_in, indicator, layout,
-                                                      None if use_mvp else prop)
+        indicator, x_in = np.ones(len(x_std)), x_std
+    h_g, pool_args, selection = model.backend.forward(T.Tensor(x_in), adjacency, indicator,
+                                                      layout, prop)
     logits = classify(h_g, model.classifier)
     return ForwardResult(logits, pool_args, scores, indicator, recon_args, selection, layout)
 

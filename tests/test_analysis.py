@@ -152,8 +152,8 @@ def test_degree_pruning_profile_counts():
     g = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
     ds = make_dataset([g])
     rows = analysis.degree_pruning_profile(
-        ds, {"mvp": [np.array([100.0, 0.0, 0.0, 0.0])]}, policies=("mvp",), c=0.5)
-    by_degree = {r.degree: r for r in rows}
+        ds, {"mvp": [np.array([100.0, 0.0, 0.0, 0.0])]}, c=0.5)
+    by_degree = {r.degree: r for r in rows if r.policy == "mvp"}
     assert by_degree[3].pruned == 1 and by_degree[3].nodes == 1
     assert by_degree[1].pruned == 0 and by_degree[1].nodes == 3
     assert by_degree[3].fraction == 1.0

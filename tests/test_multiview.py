@@ -147,6 +147,32 @@ def test_masked_propagation_is_the_propagation_of_the_masked_adjacency(sizes, se
     assert got.shape == adj.shape and np.array_equal(adj, before)
 
 
+def _row_sum_normalization(adjacency):
+    """A's matrix as it was computed before it became the masked one with
+    every node kept: degrees by row sums, no mask."""
+    n = adjacency.shape[-1]
+    inv_sqrt = 1.0 / np.sqrt(adjacency.sum(axis=-1) + 1.0)
+    prop = inv_sqrt[..., :, None] * adjacency
+    prop *= inv_sqrt[..., None, :]
+    prop.reshape(prop.shape[:-2] + (n * n,))[..., ::n + 1] += inv_sqrt * inv_sqrt
+    return prop
+
+
+@pytest.mark.parametrize("stack", [None, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 201, 620])
+def test_a_s_matrix_is_the_masked_one_with_every_node_kept(n, stack):
+    # the degree sums of 0/1 entries are exact integers by a row sum or by a
+    # product with the mask, and 1 * x is x, so every byte is the row-sum formula's
+    rng = np.random.default_rng(n)
+    shape = (n, n) if stack is None else (stack, n, n)
+    density = rng.random(shape[:-2] + (1, 1))
+    upper = np.triu((rng.random(shape) < density).astype(float), 1)
+    adj = upper + upper.swapaxes(-1, -2)
+    got = mv.normalize_adjacency(adj)
+    assert got.tobytes() == mv.normalize_adjacency(adj, np.ones(shape[:-1])).tobytes()
+    assert got.tobytes() == _row_sum_normalization(adj).tobytes()
+
+
 @pytest.mark.parametrize("n", [150, 620])
 def test_gcn_layer_matches_numpy_oracle(n):
     # sizes of PROTEINS-like graphs; the oracle builds D^-1/2 (A+I) D^-1/2 with

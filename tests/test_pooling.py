@@ -242,6 +242,34 @@ def test_adjacency_backends_give_the_same_bits_for_a_and_a_prime(kind, sizes):
     assert 0 < indicator.sum() < layout.rows
 
 
+@pytest.mark.parametrize("sizes", [(9,), (1, 4, 6, 6, 9)])
+@pytest.mark.parametrize("kind", pooling.ADJACENCY_KINDS)
+def test_a_backend_given_a_s_matrix_propagates_over_a_prime_s(kind, sizes, monkeypatch):
+    # `prop` is A's matrix: a backend that reads A propagates over it only
+    # when the mask keeps every node, and over the pruned A''s otherwise
+    rng = np.random.default_rng(15)
+    layout = T.layout_of(sizes)
+    adj = layout.join([random_graph(rng, n, p=0.5)[0] for n in sizes])
+    prop = mv.propagation(adj, layout)
+    indicator = (np.arange(layout.rows) % 3 != 1).astype(float)  # each graph keeps a node
+    x = rng.normal(size=(layout.rows, 6))
+    backend = pooling.make_backend(kind, 6, rng, keep_ratio=0.5, clusters=3)
+    built, real = [], mv.normalize_adjacency
+    monkeypatch.setattr(mv, "normalize_adjacency", lambda *a: built.append(a) or real(*a))
+
+    def run(indicator, matrix):
+        xv = prune.apply_mask(x, None, indicator)[0]
+        h_g, _, sel = backend.forward(T.Tensor(xv), adj, indicator, layout, matrix)
+        return h_g.values.tobytes(), sel.tobytes()
+
+    assert 0 < indicator.sum() < layout.rows
+    assert run(indicator, prop) == run(indicator, None)
+    del built[:]
+    ones = np.ones(layout.rows)
+    assert run(ones, prop) == run(ones, None)
+    assert len(built) == len(layout.groups)  # only the call without A's matrix built one
+
+
 def test_make_backend_unknown_kind():
     with pytest.raises(ConfigError, match="mincut"):
         pooling.make_backend("nope", 4, np.random.default_rng(0))

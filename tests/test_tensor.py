@@ -394,6 +394,19 @@ def _lone_op_and_reference(op):
     }[op]
 
 
+def test_a_shared_layout_cannot_change():
+    # layout_of hands one Layout to every batch of its size tuple
+    layout = T.layout_of((3, 3, 5))
+    assert T.layout_of((3, 3, 5)) is layout
+    with pytest.raises(ValueError, match="read-only"):
+        layout.sizes[0] = 4
+    with pytest.raises(TypeError):
+        layout.groups[0] = layout.groups[1]
+    assert all(type(cuts) is tuple for cuts in (layout.groups, layout._row_cuts,
+                                                 layout._pair_cuts, layout._offsets))
+    assert [len(part) for part in layout.split(np.arange(11))] == [3, 3, 5]
+
+
 @pytest.mark.parametrize("op", ["matmul", "propagate", "gcn_views", "transpose_matmul", "tsum",
                                 "mul", "gram_sigmoid", "clipped_bce", "mse"])
 def test_ops_on_a_one_graph_layout_match_the_plain_product_bit_for_bit(op):

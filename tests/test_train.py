@@ -1,5 +1,7 @@
 import gc
 import json
+import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -435,22 +437,36 @@ def test_forward_matches_slow_reference_bit_for_bit(mixed_corpus, backend):
 
 
 @pytest.mark.parametrize("backend", BACKEND_KINDS)
-def test_only_backends_that_read_a_prime_get_it(corpus, backend, monkeypatch):
-    # forward_ref masks A for every backend; the bit-for-bit test above shows
-    # that skipping it for the others changes no value
-    seen, real = [], PoolBackend.forward
+def test_only_backends_that_read_a_prime_get_it(backend, monkeypatch):
+    # every backend gets A, the mask and A's matrix (joined only when some part
+    # reads it), with MVP and without; a backend that reads A builds the pruned
+    # A''s matrix from the mask, once per size group, and only when it drops a node
+    ds = _budget_corpus()
+    batch = ds.graphs[2:7]  # 9, 9, 12, 12 and 12 nodes: two size groups
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend, clusters=3))
+    model = tr.build_model(cfg, ds, split(ds, 0), seed=0)
+    seen, real_forward = [], PoolBackend.forward
 
-    def recording(self, x_prime, a_prime, *args):
-        seen.append(a_prime)
-        return real(self, x_prime, a_prime, *args)
+    def recording(self, x_prime, *args):
+        seen.append(args)
+        return real_forward(self, x_prime, *args)
 
+    masked, real_normalize = [], mv.normalize_adjacency
     monkeypatch.setattr(PoolBackend, "forward", recording)
-    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend))
-    model = tr.build_model(cfg, corpus, split(corpus, 0), seed=0)
-    tr.forward_batch(model, corpus.graphs[:3])
-    tr.forward_batch(model, corpus.graphs[:3], use_mvp=False)
-    assert (seen[0] is None) == (backend not in ADJACENCY_KINDS)
-    assert seen[1] is not None  # without MVP the backend gets A itself
+    monkeypatch.setattr(mv, "normalize_adjacency",
+                        lambda a, *keep: masked.extend(keep) or real_normalize(a, *keep))
+    built = []
+    for use_mvp, c in ((True, 1.0), (True, 1e6), (False, None)):
+        before = len(masked)
+        tr.forward_batch(model, batch, use_mvp=use_mvp, threshold_c=c)
+        built.append(len(masked) - before)
+        adjacency, indicator, layout, prop = seen[-1]
+        assert adjacency.tobytes() == layout.join([g.adjacency for g in batch]).tobytes()
+        assert (prop is None) == (not use_mvp and backend not in ADJACENCY_KINDS)
+        if prop is not None:
+            assert prop.tobytes() == layout.join([g.propagation for g in batch]).tobytes()
+        assert indicator.all() == (c != 1.0)  # c = 1 drops nodes; c = 1e6 keeps them all
+    assert built == [2 if backend in ADJACENCY_KINDS else 0, 0, 0]
 
 
 def test_evaluate_builds_no_reconstruction_loss(corpus, monkeypatch):
@@ -571,6 +587,13 @@ WORK_BUDGETS = {
                    joint_layout=120, joint_groups=8, lone_ops=18, lone_layout=18,
                    normalize_calls=52),
 }
+# The same counts for the planted acceptance corpus and config (MVP + mean),
+# whose steps are one size group each: one normalize_adjacency call per
+# training and validation graph, 162 + 18.
+PLANTED_WORK_BUDGET = dict(pretrain_nodes=11, pretrain_links=11, pretrain_ops=8,
+                           pretrain_layout=17, pretrain_groups=1, joint_nodes=30,
+                           joint_links=31, joint_ops=18, joint_layout=45, joint_groups=1,
+                           lone_ops=11, lone_layout=17, normalize_calls=180)
 
 
 def _budget_corpus():
@@ -579,11 +602,9 @@ def _budget_corpus():
     return Dataset(graphs, 8, 2, "mixed")
 
 
-def _training_work(monkeypatch, backend) -> dict:
-    """`WORK_BUDGETS`' counts of one train_one on the budget corpus, then of
-    a lone forward of its largest graph."""
-    ds = _budget_corpus()
-    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend))
+def _training_work(monkeypatch, ds, cfg) -> dict:
+    """`WORK_BUDGETS`' counts of one train_one on `ds` at seed 0, then of a
+    lone forward of its largest graph."""
     counts = {"ops": 0, "layout": 0, "normalize_calls": 0}
     steps, start, groups, tape = [], [dict(counts)], [], []
 
@@ -621,8 +642,9 @@ def _training_work(monkeypatch, backend) -> dict:
     monkeypatch.setattr(tr, "forward_batch", forward)
     monkeypatch.setattr(T, "backward", backward)
     monkeypatch.setattr(T, "_toposort", toposort)
-    model, _ = tr.train_one(cfg, ds, split(ds, 0), seed=0)
-    n_steps = 3  # 17 training graphs in steps of 8
+    sp = split(ds, 0)
+    model, _ = tr.train_one(cfg, ds, sp, seed=0)
+    n_steps = math.ceil(len(sp.train) / cfg.batch_size)
     assert len(steps) == n_steps * (cfg.pretrain_epochs + cfg.epochs)
     work = {"normalize_calls": counts["normalize_calls"]}
     for phase, part in (("pretrain", steps[:n_steps]), ("joint", steps[n_steps:])):
@@ -636,9 +658,20 @@ def _training_work(monkeypatch, backend) -> dict:
 
 @pytest.mark.parametrize("backend", sorted(WORK_BUDGETS))
 def test_training_work_stays_within_its_budget(monkeypatch, backend):
-    work, budget = _training_work(monkeypatch, backend), WORK_BUDGETS[backend]
+    cfg = tr.TrainConfig.from_dict(dict(SMALL, backend=backend))
+    work, budget = _training_work(monkeypatch, _budget_corpus(), cfg), WORK_BUDGETS[backend]
     assert work.keys() == budget.keys()
     assert {k: v for k, v in work.items() if v > budget[k]} == {}
+
+
+def test_planted_training_work_stays_within_its_budget(monkeypatch):
+    # the acceptance corpus and config: 162 training graphs of 20 nodes in steps of 32
+    ds, _ = synth_planted_anomalies(200, 20, 0.15, seed=7)
+    cfg = tr.TrainConfig.from_dict(dict(epochs=30, pretrain_epochs=10, views=4, latent_width=32,
+                                        learning_rate=2e-3, batch_size=32, seeds=(0,)))
+    work = _training_work(monkeypatch, ds, cfg)
+    assert work.keys() == PLANTED_WORK_BUDGET.keys()
+    assert {k: v for k, v in work.items() if v > PLANTED_WORK_BUDGET[k]} == {}
 
 
 def _joint_step_batch(ds, sp):
@@ -714,6 +747,20 @@ def test_a_graph_s_arrays_are_read_only_after_a_forward(corpus):
             array[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             array *= 1.0
+
+
+def test_a_graph_s_arrays_are_read_only_after_a_pickle_round_trip(corpus):
+    # `run_trials --jobs N` pickles the dataset into its workers, and an
+    # unpickled array comes back writable unless the Graph locks it again
+    g = corpus.graphs[0]
+    g = Graph(g.adjacency.copy(), g.features.copy(), g.label)
+    assert g.propagation is not None  # held, so it travels with the graph
+    back = pickle.loads(pickle.dumps(g))
+    assert "propagation" in vars(back) and back.propagation.tobytes() == g.propagation.tobytes()
+    for array in (back.adjacency, back.features, back.propagation):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    assert (back.label, back.n) == (g.label, g.n)
 
 
 def _counting_normalizations(monkeypatch):
